@@ -269,11 +269,9 @@ def w2_statistic(phi: sym.Symbol, b: complex, settings: SweepSettings | None = N
     sym.certificate(phi)
     b = complex(b)
     f = sym.Compose(sym.Moebius(b), phi)
-    grid = np.concatenate([
-        hardy.standard_grid(settings.depth, settings.w2_angles),
-        np.asarray([b] + [complex(p) for p in extra_points], dtype=complex),
-    ])
-    est = hardy.bmoa_seminorm(f, grid=grid, base_n=settings.base_n)
+    est = hardy.bmoa_seminorm(f, depth=settings.depth, angles=settings.w2_angles,
+                              base_n=settings.base_n,
+                              extra_points=[b] + [complex(p) for p in extra_points])
     return est.value
 
 
@@ -316,7 +314,7 @@ class CriterionSweep:
                 idx = np.nonzero(sizes == size)[0]
                 boundary = hardy.sample_boundary(self.phi, int(size))
                 zeta = sym.roots_of_unity(int(size))
-                rows = max(1, int(2 ** 21 // size))
+                rows = max(1, int(hardy.SWEEP_CHUNK // size))
                 for start in range(0, len(idx), rows):
                     sel = idx[start:start + rows]
                     aa = self.grid[sel][:, None]
@@ -527,12 +525,15 @@ class CriterionSweep:
         """
         lv = self.l_values()
         s = self.settings
+        cache: dict[int, float] = {}
 
         def evaluate(idx):
-            best = idx[int(np.argmax(lv[idx]))]
-            a_star = complex(self.grid[best])
-            b = complex(self.phi.eval(a_star))
-            return w2_statistic(self.phi, b, s, extra_points=(a_star,))
+            best = int(idx[int(np.argmax(lv[idx]))])
+            if best not in cache:
+                a_star = complex(self.grid[best])
+                b = complex(self.phi.eval(a_star))
+                cache[best] = w2_statistic(self.phi, b, s, extra_points=(a_star,))
+            return cache[best]
 
         prof = self._level_envelope("W2", np.abs(self.phi_at_grid), evaluate,
                                     lambda idx: s.depth * s.w2_angles + 2)

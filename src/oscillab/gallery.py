@@ -8,11 +8,15 @@ level-set measure condition yet fails every norm criterion).
 
 Profiles are computed per (entry, kind) task; tasks are independent and a
 worker pool may execute them in any order, but results are merged in task
-order so outputs are byte-identical for every worker count.
+order so outputs are byte-identical for every worker count.  Within one
+process the tasks of an entry share a single CriterionSweep, so the kinds
+built on the same sweep (L, VMOA-iii and W2 on ``l_values``; A-double and
+A-prime on ``arc_means``) compute it once.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -60,10 +64,15 @@ def entry_by_name(name: str) -> GalleryEntry:
     raise KeyError(f"no gallery entry named {name!r}")
 
 
+@functools.lru_cache(maxsize=len(GALLERY))
+def _entry_sweep(name: str, settings: cr.SweepSettings) -> cr.CriterionSweep:
+    """The CriterionSweep every task of one (entry, settings) pair reuses."""
+    return cr.CriterionSweep(entry_by_name(name).symbol, settings)
+
+
 def _profile_task(args):
     name, kind, settings = args
-    entry = entry_by_name(name)
-    return name, kind, cr.CriterionSweep(entry.symbol, settings).profile(kind)
+    return name, kind, _entry_sweep(name, settings).profile(kind)
 
 
 def resolve_workers(workers: int | None) -> int:

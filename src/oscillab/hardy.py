@@ -80,7 +80,11 @@ def sample_boundary(f, n: int) -> np.ndarray:
 
 
 def grid_size_for(a: complex, base: int) -> int:
-    """Power-of-two grid size clearing the Poisson pole at a: n (1-|a|) >= 16."""
+    """Power-of-two grid size clearing the Poisson pole at a.
+
+    The smallest power of two n >= max(base, 64) with n (1 - |a|) >=
+    POLE_CLEARANCE, capped at MAX_GRID.
+    """
     gap = 1.0 - abs(a)
     need = max(float(base), POLE_CLEARANCE / max(gap, 1e-9))
     n = 64
@@ -156,13 +160,21 @@ def garsia_gamma(f, a: complex, n: int = 4096, tol: float = GAMMA_TOL,
         size *= 2
 
 
+def ring_grid(radii: Sequence[float], angles: int) -> np.ndarray:
+    """Points r e^{2 pi i j / angles}, one row per radius r."""
+    thetas = np.exp(2j * math.pi * np.arange(angles) / angles)
+    return np.asarray(radii, dtype=float)[:, None] * thetas
+
+
+def _standard_radii(depth: int) -> np.ndarray:
+    return 1.0 - 2.0 ** -np.arange(1, depth + 1)
+
+
 def standard_grid(depth: int = 12, angles: int = 64) -> np.ndarray:
     """Geometric radii 1 - 2^-k (k = 1..depth) times equispaced angles."""
     if depth < 1 or angles < 1:
         raise ValueError("grid needs depth >= 1 and angles >= 1")
-    radii = 1.0 - 2.0 ** -np.arange(1, depth + 1)
-    thetas = np.exp(2j * math.pi * np.arange(angles) / angles)
-    return np.concatenate([r * thetas for r in radii])
+    return ring_grid(_standard_radii(depth), angles).ravel()
 
 
 @dataclass(frozen=True)
@@ -175,8 +187,13 @@ class SeminormEstimate:
     argmax: complex
 
 
+#: elements per chunk of the dense Poisson sweeps (rows x boundary grid), so
+#: that the complex temporaries of one chunk stay inside the L2 cache
+SWEEP_CHUNK = 2 ** 17
+
+
 def poisson_gamma_sweep(f, points: np.ndarray, base_n: int = 4096,
-                        chunk: int = 2 ** 21) -> np.ndarray:
+                        chunk: int = SWEEP_CHUNK) -> np.ndarray:
     """Poisson-route gamma(f, a) for every a in ``points`` (vectorized).
 
     Points are grouped by the grid size their radius demands; each group is
@@ -200,44 +217,92 @@ def poisson_gamma_sweep(f, points: np.ndarray, base_n: int = 4096,
     return out
 
 
+def ring_gamma_sweep(f, radii: Sequence[float], angles: int,
+                     base_n: int = 4096) -> np.ndarray:
+    """gamma(f, a) at every point of ``ring_grid(radii, angles)``, ring by ring.
+
+    Uses the Garsia identity gamma(f, a)^2 = P[|f|^2](a) - |f(a)|^2.  On a
+    ring |a| = r the Poisson integral is a convolution: the Fourier
+    coefficients of |f|^2 on the boundary grid, weighted by r^|k| and folded
+    by k mod ``angles``, give P[|f|^2] at every angle of the ring through one
+    inverse FFT of length ``angles``.  One FFT of |f|^2 serves every ring
+    that needs the same grid size (``grid_size_for``).  The subtraction
+    cancels where gamma is small next to |f(a)|, so callers anchor the
+    maximum with ``garsia_gamma``.  Returns shape (len(radii), angles).
+    """
+    radii = np.asarray(radii, dtype=float)
+    points = ring_grid(radii, angles)
+    fa = np.asarray(f.eval(points), dtype=complex)
+    modulus2 = fa.real ** 2 + fa.imag ** 2
+    out = np.empty(points.shape)
+    sizes = np.array([grid_size_for(r, base_n) for r in radii])
+    for size in np.unique(sizes):
+        n = int(size)
+        fv = sample_boundary(f, n)
+        coeffs = np.fft.fft(fv.real ** 2 + fv.imag ** 2, norm="forward")
+        freqs = np.fft.fftfreq(n, 1.0 / n)          # k in [-n/2, n/2)
+        folds = freqs.astype(np.int64) % angles
+        for i in np.nonzero(sizes == size)[0]:
+            weighted = coeffs * radii[i] ** np.abs(freqs)
+            folded = (np.bincount(folds, weighted.real, angles)
+                      + 1j * np.bincount(folds, weighted.imag, angles))
+            poisson = np.fft.ifft(folded, norm="forward").real
+            out[i] = np.sqrt(np.maximum(poisson - modulus2[i], 0.0))
+    return out
+
+
+def _anchored_max(f, values: np.ndarray, points: np.ndarray, base_n: int,
+                  refine: bool = True) -> tuple[float, complex]:
+    """The largest swept value and its point, re-evaluated there by the
+    dual-route ``garsia_gamma`` (skipped beyond |a| = 0.9999)."""
+    k = int(np.argmax(values))
+    best, a = float(values[k]), complex(points[k])
+    if refine and abs(a) <= 0.9999:
+        best = max(garsia_gamma(f, a, base_n), best - GAMMA_TOL)
+    return best, a
+
+
 def bmoa_seminorm(f, grid: np.ndarray | None = None, depth: int = 12,
-                  angles: int = 64, base_n: int = 4096,
-                  refine: bool = True) -> SeminormEstimate:
+                  angles: int = 64, base_n: int = 4096, refine: bool = True,
+                  extra_points: Sequence[complex] = ()) -> SeminormEstimate:
     """Lower-bound estimate of the BMOA seminorm over a point grid.
 
-    The sweep uses the fast Poisson route; the winning point is then
-    re-evaluated with the dual-route gamma so the reported maximum carries
-    the agreement guarantee.
+    On the standard grid (``grid`` is None) every ring is swept at once by
+    ``ring_gamma_sweep``; a custom ``grid`` and any ``extra_points`` added
+    to the standard grid go through the pointwise ``poisson_gamma_sweep``.
+    The winning point is then re-evaluated with the dual-route gamma so the
+    reported maximum carries the agreement guarantee.
     """
+    extra = np.asarray(extra_points, dtype=complex)
     if grid is None:
         grid = standard_grid(depth, angles)
+        values = ring_gamma_sweep(f, _standard_radii(depth), angles, base_n).ravel()
         desc = f"standard grid depth={depth} angles={angles}"
+        if len(extra):
+            grid = np.concatenate([grid, extra])
+            values = np.concatenate([values, poisson_gamma_sweep(f, extra, base_n)])
+            desc += f" plus {len(extra)} points"
     else:
-        grid = np.asarray(grid, dtype=complex)
+        grid = np.concatenate([np.asarray(grid, dtype=complex), extra])
         desc = f"custom grid of {len(grid)} points"
-    if len(grid) == 0:
-        raise ValueError("seminorm estimate needs a nonempty grid")
-    values = poisson_gamma_sweep(f, grid, base_n)
-    k = int(np.argmax(values))
-    best = float(values[k])
-    if refine and abs(grid[k]) <= 0.9999:
-        best = max(garsia_gamma(f, complex(grid[k]), base_n), best - GAMMA_TOL)
-    return SeminormEstimate(best, desc, True, complex(grid[k]))
+        if len(grid) == 0:
+            raise ValueError("seminorm estimate needs a nonempty grid")
+        values = poisson_gamma_sweep(f, grid, base_n)
+    best, argmax = _anchored_max(f, values, grid, base_n, refine)
+    return SeminormEstimate(best, desc, True, argmax)
 
 
 def vmoa_profile(f, radii: Sequence[float], angular_count: int = 64,
                  base_n: int = 4096) -> list[tuple[float, float]]:
-    """Per-radius angular maxima of gamma(f, a); decay to 0 signals VMOA."""
-    rows = []
-    thetas = np.exp(2j * math.pi * np.arange(angular_count) / angular_count)
+    """Per-radius angular maxima of gamma(f, a); decay to 0 signals VMOA.
+
+    All rings are swept at once by ``ring_gamma_sweep``; each ring's maximum
+    is then anchored by the dual-route ``garsia_gamma``.
+    """
     for r in radii:
         if not (0.0 < r < 1.0):
             raise ValueError(f"profile radii must lie in (0, 1), got {r}")
-        ring = r * thetas
-        vals = poisson_gamma_sweep(f, ring, base_n)
-        k = int(np.argmax(vals))
-        best = float(vals[k])
-        if r <= 0.9999:
-            best = max(garsia_gamma(f, complex(ring[k]), base_n), best - GAMMA_TOL)
-        rows.append((float(r), best))
-    return rows
+    values = ring_gamma_sweep(f, radii, angular_count, base_n)
+    rings = ring_grid(radii, angular_count)
+    return [(float(r), _anchored_max(f, vals, ring, base_n)[0])
+            for r, vals, ring in zip(radii, values, rings)]

@@ -62,6 +62,11 @@ class SweepConfig:
                               f"{self.level_start}, {self.depth}")
         if self.angles < 4 or self.angles > 4096:
             raise ConfigError(f"angles out of range: {self.angles}")
+        if self.w2_angles < 4 or self.w2_angles > 4096:
+            raise ConfigError(f"w2_angles out of range: {self.w2_angles}")
+        if not self.w1_powers or min(self.w1_powers) < 1:
+            raise ConfigError(f"w1_powers must be a nonempty list of integers >= 1, "
+                              f"got {list(self.w1_powers)}")
         if self.base_n < 64 or self.base_n & (self.base_n - 1):
             raise ConfigError(f"base_n must be a power of two >= 64, got {self.base_n}")
         if self.arc_samples < 64:

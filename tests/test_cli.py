@@ -41,6 +41,16 @@ class TestSweepConfig:
         with pytest.raises(sw.ConfigError):
             sw.SweepConfig.from_json('{"symbol": {"kind": "identity"}, "zoom": 3}')
 
+    @pytest.mark.parametrize("w2_angles", [0, 3, 4097])
+    def test_w2_angles_range_enforced(self, w2_angles):
+        with pytest.raises(sw.ConfigError, match="w2_angles"):
+            sw.SweepConfig(symbol={"kind": "identity"}, w2_angles=w2_angles)
+
+    @pytest.mark.parametrize("powers", [(), (0,), (1, -2)])
+    def test_w1_powers_must_be_positive(self, powers):
+        with pytest.raises(sw.ConfigError, match="w1_powers"):
+            sw.SweepConfig(symbol={"kind": "identity"}, w1_powers=powers)
+
 
 class TestRunSweep(object):
     def test_compact_constant(self, tmp_path):
@@ -77,6 +87,25 @@ class TestGalleryRunner:
         assert run.exit_code == 0
         assert run.mismatches == [] and run.inconsistencies == []
 
+    def test_entry_tasks_share_one_sweep(self, monkeypatch):
+        from oscillab import criteria as cr
+        from oscillab import gallery
+        computed = []
+        real = cr.CriterionSweep.l_values
+
+        def counting(sweep):
+            if sweep._l_values is None:
+                computed.append(sweep.phi)
+            return real(sweep)
+
+        monkeypatch.setattr(cr.CriterionSweep, "l_values", counting)
+        kinds = ("L", "VMOA-iii", "W2")
+        gallery._entry_sweep.cache_clear()
+        serial = gallery.compute_gallery_profiles(kinds, FAST, workers=1)
+        assert len(computed) == len(GALLERY)
+        gallery._entry_sweep.cache_clear()
+        assert gallery.compute_gallery_profiles(kinds, FAST, workers=2) == serial
+
     def test_entry_lookup(self):
         assert entry_by_name("identity").expected == "non-compact"
         with pytest.raises(KeyError):
@@ -104,6 +133,14 @@ class TestCliCommands:
     def test_bad_symbol_json_exits_4(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text('{"symbol": {"kind": "warp"}, "criteria": ["L"]}')
+        assert cli.main(["sweep", "--config", str(path)]) == 4
+
+    @pytest.mark.parametrize("field", ['"w2_angles": 0', '"w1_powers": [0]'])
+    def test_bad_w_settings_exit_4(self, tmp_path, field):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"symbol": {"kind": "identity"}, "criteria": ["W1", "W2"], '
+                        f'"depth": 6, "angles": 8, {field}, '
+                        f'"out_dir": "{tmp_path / "out"}"}}')
         assert cli.main(["sweep", "--config", str(path)]) == 4
 
     def test_usage_error_exits_4(self):

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from oscillab import criteria as cr
+from oscillab import hardy
 from oscillab import symbols as s
-from oscillab.geometry import Arc, arc_of
+from oscillab.geometry import Arc, arc_of, rho
 
 RNG = np.random.default_rng(977)
 
@@ -178,6 +179,41 @@ class TestProfiles:
         statuses = [m["status"] for m in prof.metadata["levels"]]
         assert statuses[-1] == "unresolved"
         assert len(prof.points) == statuses.count("ok") + statuses.count("vacuous")
+
+    def test_l_values_bit_identical_to_row_by_row(self):
+        # nested-scale's composite norm is constant on each ring, so the grid
+        # points of a ring tie up to rounding, and W2 evaluates
+        # sigma_{phi(a*)} . phi at whichever tied point a* wins the argmax.
+        # A rewrite of the sweep that moved values by 6.5e-10 flipped that
+        # argmax and moved the depth-11 W2 value at level 0.9375 from 0.67640
+        # to 0.65446; chunking may change, the per-row arithmetic may not
+        phi = s.Compose(s.Moebius(0.7), s.Scale(0.9, s.Identity()))
+        sweep = cr.CriterionSweep(phi, cr.SweepSettings(depth=9, angles=16))
+        expected = np.empty(len(sweep.grid))
+        for i, (a, b) in enumerate(zip(sweep.grid, sweep.phi_at_grid)):
+            size = hardy.grid_size_for(a, sweep.settings.base_n)
+            boundary = hardy.sample_boundary(phi, size)
+            zeta = s.roots_of_unity(size)
+            aa, bb = np.array([[a]]), np.array([[b]])
+            pk = (1.0 - np.abs(aa) ** 2) / np.abs(zeta[None, :] - aa) ** 2
+            rr = rho(boundary[None, :], bb) ** 2
+            expected[i] = np.sqrt(np.maximum(np.mean(rr * pk, axis=1), 0.0))[0]
+        assert np.array_equal(sweep.l_values(), expected)
+
+    def test_w2_memo_shares_argmax_points(self, monkeypatch):
+        calls = []
+        real = cr.w2_statistic
+
+        def counting(phi, b, settings=None, extra_points=()):
+            calls.append(extra_points)
+            return real(phi, b, settings, extra_points)
+
+        monkeypatch.setattr(cr, "w2_statistic", counting)
+        # every level of (1+z)/2 has its largest composite norm at the same
+        # deepest-ring point near 1, so the five levels need one statistic
+        prof = cr.CriterionSweep(s.Polynomial((0.5, 0.5)), FAST).profile("W2")
+        assert len(prof.points) == 5
+        assert len(calls) == 1
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

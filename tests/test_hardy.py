@@ -115,6 +115,52 @@ class TestSeminorm:
             h.bmoa_seminorm(s.Identity(), grid=np.array([]))
 
 
+class TestRingGammaSweep:
+    """The ring route (Garsia identity, one FFT per grid size) against the
+    pointwise Poisson sweep and against closed forms."""
+
+    @staticmethod
+    def both_routes(f, depth, angles):
+        radii = 1.0 - 2.0 ** -np.arange(1, depth + 1)
+        ring = h.ring_gamma_sweep(f, radii, angles).ravel()
+        direct = h.poisson_gamma_sweep(f, h.standard_grid(depth, angles))
+        return ring, direct
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 17])
+    def test_identity_powers_match_direct_sweep(self, k):
+        ring, direct = self.both_routes(s.power(s.Identity(), k), depth=8, angles=16)
+        assert np.max(np.abs(ring - direct)) < 1e-10
+
+    @pytest.mark.parametrize("angles", [16, 12])
+    def test_test_function_matches_direct_sweep(self, angles):
+        # 12 angles do not divide any boundary grid size: the fold by k mod
+        # angles has to take every residue class
+        ring, direct = self.both_routes(moebius_test_function(0.5), depth=8, angles=angles)
+        assert np.max(np.abs(ring - direct)) < 1e-10
+
+    def test_rows_follow_ring_grid(self):
+        radii = [0.3, 0.9, 0.6]
+        values = h.ring_gamma_sweep(s.Identity(), radii, 12)
+        assert values.shape == (3, 12)
+        for r, row in zip(radii, values):
+            assert row == pytest.approx(np.full(12, math.sqrt(1 - r * r)), abs=1e-12)
+
+    def test_inner_map_with_pole_near_circle(self):
+        # |sigma_b|^2 = 1 on the circle, so gamma(sigma_b, a)^2 = 1 - |sigma_b(a)|^2;
+        # the pointwise sweep, whose grid only clears the pole of the Poisson
+        # kernel and not the pole of f at 1/conj(b), is off by up to 6e-5 here
+        b = (1.0 - 2.0 ** -9) * np.exp(0.3j)
+        f = s.Moebius(b)
+        radii = 1.0 - 2.0 ** -np.arange(1, 9)
+        points = h.ring_grid(radii, 12)
+        exact = np.sqrt(1.0 - np.abs(f.eval(points)) ** 2)
+        assert np.max(np.abs(h.ring_gamma_sweep(f, radii, 12) - exact)) < 1e-12
+
+    def test_constant_is_exactly_null(self):
+        values = h.ring_gamma_sweep(s.Constant(0.3 - 0.2j), [0.5, 0.99], 12)
+        assert np.all(values == 0.0)
+
+
 class TestVmoaProfile:
     def test_constant_profile_is_zero(self):
         rows = h.vmoa_profile(s.Constant(0.2), [0.5, 0.9], angular_count=8)
