@@ -1,7 +1,7 @@
 """oscillab: a numerical lab for compactness criteria of composition
 operators on BMOA/VMOA over the unit disc."""
 
-from .geometry import (Arc, Automorphism, DiscPoint, arc_of, center_of,
+from .geometry import (Arc, DiscPoint, arc_of, center_of,
                        hyperbolic, moebius, moebius_eval, poisson_kernel,
                        pseudo_hyperbolic, rho, tau)
 from .symbols import (Blaschke, Compose, Constant, Identity, Moebius,

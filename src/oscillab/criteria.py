@@ -34,8 +34,8 @@ from .geometry import Arc, arc_of, center_of, poisson_kernel, rho, tau_capped
 
 STRICT_FAMILY = ("L", "S1", "A-double", "A-prime", "W2")
 
-PROFILE_KINDS = ("L", "VMOA-iii", "S1", "A-double", "A-prime",
-                 "A-hyp-double", "A-hyp-center", "W1", "W2", "S2")
+#: the measure statistic's thresholds are t_k = 1 - 2^-k for k = S2_LEVEL_START..depth
+S2_LEVEL_START = 4
 
 
 @dataclass(frozen=True)
@@ -53,11 +53,9 @@ class SweepSettings:
     tau_power: float = 1.0
     s2_radii: tuple = (0.25, 0.5, 0.75)
     s2_boundary_n: int = 8192
-    s2_level_start: int = 4     # t_k = 1 - 2^-k for k = s2_level_start..depth
     w1_powers: tuple = (1, 2, 4, 8, 16, 32, 64, 128)
     w2_angles: int = 16         # angular resolution of the w2 seminorm grid
     level_start: int = 4        # first ladder level reported in profiles
-    gamma_tol: float = 1e-8
 
     def levels(self) -> list[tuple[int, float]]:
         return [(k, 1.0 - 2.0 ** -k) for k in range(self.level_start, self.depth + 1)]
@@ -96,15 +94,26 @@ class InconsistentCriteriaError(RuntimeError):
 # the normalized composite and its three norm routes
 # ---------------------------------------------------------------------------
 
-def composite_symbol(phi: sym.Symbol, a: complex) -> sym.Symbol:
-    """sigma_phi(a) . phi . sigma_a as a symbol tree (fixes the origin)."""
-    a = complex(a)
-    b = complex(phi.eval(a))
-    return sym.Compose(sym.Moebius(b), sym.Compose(phi, sym.Moebius(a)))
+def _composite_values(phi: sym.Symbol, a: complex, b: complex,
+                      zeta: np.ndarray) -> np.ndarray:
+    """sigma_b . phi . sigma_a at the boundary points ``zeta``."""
+    moved = phi.eval((a - zeta) / (1.0 - np.conj(a) * zeta))
+    return (b - moved) / (1.0 - np.conj(b) * moved)
+
+
+def _composite_routes(phi: sym.Symbol, a: complex, b: complex,
+                      n: int) -> tuple[float, float]:
+    """Squared H^2 norm of sigma_b . phi . sigma_a on the n-grid, as
+    (direct samples, rho^2-Poisson integral of phi's boundary values)."""
+    zeta = sym.roots_of_unity(n)
+    direct = float(np.mean(np.abs(_composite_values(phi, a, b, zeta)) ** 2))
+    boundary = hardy.sample_boundary(phi, n)
+    poisson = float(np.mean(rho(boundary, b) ** 2 * poisson_kernel(a, zeta)))
+    return direct, poisson
 
 
 def l_statistic(phi: sym.Symbol, a: complex, base_n: int = 4096,
-                tol: float = 1e-8, max_n: int = hardy.MAX_GRID) -> float:
+                tol: float = hardy.GAMMA_TOL, max_n: int = hardy.MAX_GRID) -> float:
     """||sigma_phi(a) . phi . sigma_a||_{H^2} by the rho^2-Poisson route.
 
     The direct-sample route runs alongside as the error indicator; the grid
@@ -115,13 +124,8 @@ def l_statistic(phi: sym.Symbol, a: complex, base_n: int = 4096,
     b = complex(phi.eval(a))
     size = hardy.grid_size_for(a, base_n)
     while True:
-        zeta = sym.roots_of_unity(size)
-        boundary = hardy.sample_boundary(phi, size)
-        weighted = float(np.mean(rho(boundary, b) ** 2 * poisson_kernel(a, zeta)))
-        poisson = math.sqrt(max(weighted, 0.0))
-        moved = phi.eval((a - zeta) / (1.0 - np.conj(a) * zeta))
-        composite = (b - moved) / (1.0 - np.conj(b) * moved)
-        direct = math.sqrt(float(np.mean(np.abs(composite) ** 2)))
+        direct2, poisson2 = _composite_routes(phi, a, b, size)
+        direct, poisson = math.sqrt(direct2), math.sqrt(max(poisson2, 0.0))
         if abs(direct - poisson) <= tol:
             return poisson
         if size >= max_n:
@@ -159,15 +163,11 @@ def composite_norm_routes(phi: sym.Symbol, a: complex, base_n: int = 4096,
     sym.certificate(phi)
     a = complex(a)
     b = complex(phi.eval(a))
-    g = composite_symbol(phi, a)
 
     size = hardy.grid_size_for(a, base_n)
     prev_d = prev_p = None
     while True:
-        zeta = sym.roots_of_unity(size)
-        direct = float(np.mean(np.abs(hardy.sample_boundary(g, size)) ** 2))
-        boundary = hardy.sample_boundary(phi, size)
-        poisson = float(np.mean(rho(boundary, b) ** 2 * poisson_kernel(a, zeta)))
+        direct, poisson = _composite_routes(phi, a, b, size)
         if (prev_d is not None and abs(direct - prev_d) < 1e-10
                 and abs(poisson - prev_p) < 1e-10):
             break
@@ -180,7 +180,7 @@ def composite_norm_routes(phi: sym.Symbol, a: complex, base_n: int = 4096,
     prev_sum = None
     taylor = 0.0
     while True:
-        coeffs = np.fft.fft(hardy.sample_boundary(g, tn)) / tn
+        coeffs = np.fft.fft(_composite_values(phi, a, b, sym.roots_of_unity(tn))) / tn
         taylor = float(np.sum(np.abs(coeffs[: tn // 4]) ** 2))
         if prev_sum is not None and abs(taylor - prev_sum) < 1e-10:
             break
@@ -307,22 +307,9 @@ class CriterionSweep:
     def l_values(self) -> np.ndarray:
         """Poisson-route composite norm at every grid point (fast sweep)."""
         if self._l_values is None:
-            s = self.settings
-            out = np.empty(len(self.grid))
-            sizes = np.array([hardy.grid_size_for(a, s.base_n) for a in self.grid])
-            for size in np.unique(sizes):
-                idx = np.nonzero(sizes == size)[0]
-                boundary = hardy.sample_boundary(self.phi, int(size))
-                zeta = sym.roots_of_unity(int(size))
-                rows = max(1, int(hardy.SWEEP_CHUNK // size))
-                for start in range(0, len(idx), rows):
-                    sel = idx[start:start + rows]
-                    aa = self.grid[sel][:, None]
-                    bb = self.phi_at_grid[sel][:, None]
-                    pk = (1.0 - np.abs(aa) ** 2) / np.abs(zeta[None, :] - aa) ** 2
-                    rr = rho(boundary[None, :], bb) ** 2
-                    out[sel] = np.sqrt(np.maximum(np.mean(rr * pk, axis=1), 0.0))
-            self._l_values = out
+            self._l_values = hardy.poisson_sweep(
+                self.grid, self.phi_at_grid, self.phi, lambda u, c: rho(u, c) ** 2,
+                self.settings.base_n)
         return self._l_values
 
     def arc_means(self) -> np.ndarray:
@@ -356,14 +343,16 @@ class CriterionSweep:
                 out.append((k, s, idx, "unresolved"))
         return out
 
-    def _level_envelope(self, kind: str, magnitudes: np.ndarray, evaluate,
-                        size_of) -> CriterionProfile:
-        """Shared machinery for level-set envelope profiles."""
+    def _level_envelope(self, kind: str, magnitudes: np.ndarray,
+                        evaluate) -> CriterionProfile:
+        """Level-set envelope profile; ``evaluate(idx)`` gives the (value,
+        grid size) of the level whose witnesses are the grid indices idx."""
         points, sizes, meta_levels = [], [], []
         for k, s, idx, status in self._level_split(magnitudes):
             if status == "ok":
-                points.append((s, evaluate(idx)))
-                sizes.append(size_of(idx))
+                value, size = evaluate(idx)
+                points.append((s, value))
+                sizes.append(size)
             elif status == "vacuous":
                 points.append((s, 0.0))
                 sizes.append(0)
@@ -373,21 +362,73 @@ class CriterionSweep:
             "levels": meta_levels, "grid_sizes": sizes,
             "tau_cap_hits": [0] * len(points)})
 
+    # -- shared evaluators --------------------------------------------------------
+
+    @staticmethod
+    def _memo_max(compute):
+        """idx -> the largest ``compute(i)`` over the grid indices idx, each
+        point computed once however many levels share it."""
+        cache: dict[int, float] = {}
+
+        def best(idx) -> float:
+            keys = [int(i) for i in idx]
+            for i in keys:
+                if i not in cache:
+                    cache[i] = compute(i)
+            return max([-1.0] + [cache[i] for i in keys])
+
+        return best
+
+    def _refined_l(self, lv: np.ndarray, idx) -> tuple[float, int]:
+        """The largest swept composite norm over idx, re-evaluated at its
+        argmax by the dual-route ``l_statistic``, and that point's grid size."""
+        s = self.settings
+        a = self.grid[idx[int(np.argmax(lv[idx]))]]
+        value = l_statistic(self.phi, complex(a), s.base_n, hardy.GAMMA_TOL)
+        return (max(value, float(np.max(lv[idx])) - hardy.GAMMA_TOL),
+                int(hardy.grid_size_for(a, s.base_n)))
+
+    def _arc_double(self, a: complex, metric) -> ArcAverage:
+        s = self.settings
+        return arc_double_average(self.phi, arc_of(a), metric, s.arc_samples, s.tau_cap)
+
+    def _arc_center(self, a: complex, metric) -> ArcAverage:
+        s = self.settings
+        return arc_center_average(self.phi, arc_of(a), metric, s.arc_samples,
+                                  s.tau_cap, center=a)
+
+    def _arc_envelope(self, kind: str, average, per_arc: int) -> CriterionProfile:
+        """Largest rho^2 arc average over the level sets |phi_I| >= s_k."""
+        best = self._memo_max(lambda i: average(complex(self.grid[i]), "rho2").value)
+        return self._level_envelope(kind, np.abs(self.arc_means()),
+                                    lambda idx: (best(idx), per_arc))
+
+    def _arc_ladder(self, kind: str, average, per_arc: int, metric) -> CriterionProfile:
+        """Largest arc average on each ring |a| = 1 - 2^-k, with its cap hits."""
+        s = self.settings
+        metric = metric if metric is not None else ("tau", s.tau_power)
+        points, hits_list = [], []
+        for k, lev in s.levels():
+            best, hits = -1.0, 0
+            for a in self.grid[(k - 1) * s.angles: k * s.angles]:
+                avg = average(complex(a), metric)
+                hits += avg.cap_hits
+                best = max(best, avg.value)
+            points.append((lev, best))
+            hits_list.append(hits)
+        total = s.angles * per_arc
+        return CriterionProfile(kind, tuple(points), {
+            "metric": _metric_name(metric), "grid_sizes": [per_arc] * len(points),
+            "tau_cap_hits": hits_list,
+            "cap_fraction": [h / total for h in hits_list]})
+
     # -- individual profiles ----------------------------------------------------
 
     def profile_l(self) -> CriterionProfile:
         """Envelope of the composite norm over level sets |phi(a)| >= s_k."""
         lv = self.l_values()
-        s = self.settings
-
-        def evaluate(idx):
-            best = idx[int(np.argmax(lv[idx]))]
-            value = l_statistic(self.phi, complex(self.grid[best]), s.base_n, s.gamma_tol)
-            return max(value, float(np.max(lv[idx])) - s.gamma_tol)
-
-        prof = self._level_envelope(
-            "L", np.abs(self.phi_at_grid), evaluate,
-            lambda idx: int(hardy.grid_size_for(self.grid[idx[int(np.argmax(lv[idx]))]], s.base_n)))
+        prof = self._level_envelope("L", np.abs(self.phi_at_grid),
+                                    lambda idx: self._refined_l(lv, idx))
         prof.metadata["lower_bound"] = True
         return prof
 
@@ -395,118 +436,47 @@ class CriterionSweep:
         """Per-radius sup of the composite norm (the |a| -> 1 flavor)."""
         lv = self.l_values()
         s = self.settings
-        n_ang = s.angles
         points, sizes = [], []
         for k, lev in s.levels():
-            idx = np.arange((k - 1) * n_ang, k * n_ang)
-            best = idx[int(np.argmax(lv[idx]))]
-            value = l_statistic(self.phi, complex(self.grid[best]), s.base_n, s.gamma_tol)
-            points.append((lev, max(value, float(np.max(lv[idx])) - s.gamma_tol)))
-            sizes.append(int(hardy.grid_size_for(self.grid[best], s.base_n)))
+            value, size = self._refined_l(lv, np.arange((k - 1) * s.angles, k * s.angles))
+            points.append((lev, value))
+            sizes.append(size)
         return CriterionProfile("VMOA-iii", tuple(points), {
             "grid_sizes": sizes, "lower_bound": True,
             "tau_cap_hits": [0] * len(points)})
 
     def profile_s1(self) -> CriterionProfile:
         """Envelope of the counting statistic over level sets |phi(a)| >= s_k."""
-        cache: dict[int, nev.S1Value] = {}
-        flagged = [False]
+        flagged = []
 
-        def evaluate(idx):
-            best = -1.0
-            for i in idx:
-                if int(i) not in cache:
-                    cache[int(i)] = nev.s1_statistic(self.phi, complex(self.grid[i]))
-                v = cache[int(i)]
-                flagged[0] = flagged[0] or v.flagged
-                best = max(best, v.value)
-            return best
+        def s1_at(i):
+            value = nev.s1_statistic(self.phi, complex(self.grid[i]))
+            flagged.append(value.flagged)
+            return value.value
 
-        prof = self._level_envelope("S1", np.abs(self.phi_at_grid), evaluate,
-                                    lambda idx: len(idx))
-        prof.metadata["flagged"] = flagged[0]
+        best = self._memo_max(s1_at)
+        prof = self._level_envelope("S1", np.abs(self.phi_at_grid),
+                                    lambda idx: (best(idx), len(idx)))
+        prof.metadata["flagged"] = any(flagged)
         return prof
 
     def profile_a_double(self) -> CriterionProfile:
         """Double arc average of rho^2 over level sets |phi_I| >= s_k."""
-        s = self.settings
-        cache: dict[int, float] = {}
-
-        def evaluate(idx):
-            best = -1.0
-            for i in idx:
-                if int(i) not in cache:
-                    cache[int(i)] = arc_double_average(
-                        self.phi, arc_of(complex(self.grid[i])), "rho2",
-                        s.arc_samples, s.tau_cap).value
-                best = max(best, cache[int(i)])
-            return best
-
-        return self._level_envelope("A-double", np.abs(self.arc_means()),
-                                    evaluate, lambda idx: s.arc_samples ** 2)
+        return self._arc_envelope("A-double", self._arc_double, self.settings.arc_samples ** 2)
 
     def profile_a_prime(self) -> CriterionProfile:
         """Centered arc average of rho^2 over level sets |phi_I| >= s_k."""
-        s = self.settings
-        cache: dict[int, float] = {}
-
-        def evaluate(idx):
-            best = -1.0
-            for i in idx:
-                if int(i) not in cache:
-                    cache[int(i)] = arc_center_average(
-                        self.phi, arc_of(complex(self.grid[i])), "rho2",
-                        s.arc_samples, s.tau_cap,
-                        center=complex(self.grid[i])).value
-                best = max(best, cache[int(i)])
-            return best
-
-        return self._level_envelope("A-prime", np.abs(self.arc_means()),
-                                    evaluate, lambda idx: s.arc_samples)
+        return self._arc_envelope("A-prime", self._arc_center, self.settings.arc_samples)
 
     def profile_a_hyp_double(self, metric=None) -> CriterionProfile:
         """Double arc average on the shrinking-arc ladder |I| = 2^-k."""
-        s = self.settings
-        metric = metric if metric is not None else ("tau", s.tau_power)
-        points, hits_list, sizes = [], [], []
-        for k, lev in s.levels():
-            ring = self.grid[(k - 1) * s.angles: k * s.angles]
-            best, hits = -1.0, 0
-            for a in ring:
-                avg = arc_double_average(self.phi, arc_of(complex(a)), metric,
-                                         s.arc_samples, s.tau_cap)
-                hits += avg.cap_hits
-                best = max(best, avg.value)
-            points.append((lev, best))
-            hits_list.append(hits)
-            sizes.append(s.arc_samples ** 2)
-        total = s.angles * s.arc_samples ** 2
-        return CriterionProfile("A-hyp-double", tuple(points), {
-            "metric": _metric_name(metric), "grid_sizes": sizes,
-            "tau_cap_hits": hits_list,
-            "cap_fraction": [h / total for h in hits_list]})
+        return self._arc_ladder("A-hyp-double", self._arc_double,
+                                self.settings.arc_samples ** 2, metric)
 
     def profile_a_hyp_center(self, metric=None) -> CriterionProfile:
         """Centered arc average on the radius ladder |a| = 1 - 2^-k."""
-        s = self.settings
-        metric = metric if metric is not None else ("tau", s.tau_power)
-        points, hits_list, sizes = [], [], []
-        for k, lev in s.levels():
-            ring = self.grid[(k - 1) * s.angles: k * s.angles]
-            best, hits = -1.0, 0
-            for a in ring:
-                avg = arc_center_average(self.phi, arc_of(complex(a)), metric,
-                                         s.arc_samples, s.tau_cap, center=complex(a))
-                hits += avg.cap_hits
-                best = max(best, avg.value)
-            points.append((lev, best))
-            hits_list.append(hits)
-            sizes.append(s.arc_samples)
-        total = s.angles * s.arc_samples
-        return CriterionProfile("A-hyp-center", tuple(points), {
-            "metric": _metric_name(metric), "grid_sizes": sizes,
-            "tau_cap_hits": hits_list,
-            "cap_fraction": [h / total for h in hits_list]})
+        return self._arc_ladder("A-hyp-center", self._arc_center,
+                                self.settings.arc_samples, metric)
 
     def profile_w1(self) -> CriterionProfile:
         """The power statistic |phi^n|_* along the geometric power ladder."""
@@ -525,18 +495,16 @@ class CriterionSweep:
         """
         lv = self.l_values()
         s = self.settings
-        cache: dict[int, float] = {}
 
-        def evaluate(idx):
-            best = int(idx[int(np.argmax(lv[idx]))])
-            if best not in cache:
-                a_star = complex(self.grid[best])
-                b = complex(self.phi.eval(a_star))
-                cache[best] = w2_statistic(self.phi, b, s, extra_points=(a_star,))
-            return cache[best]
+        def w2_at(i):
+            a_star = complex(self.grid[i])
+            b = complex(self.phi.eval(a_star))
+            return w2_statistic(self.phi, b, s, extra_points=(a_star,))
 
-        prof = self._level_envelope("W2", np.abs(self.phi_at_grid), evaluate,
-                                    lambda idx: s.depth * s.w2_angles + 2)
+        best = self._memo_max(w2_at)
+        prof = self._level_envelope(
+            "W2", np.abs(self.phi_at_grid),
+            lambda idx: (best([idx[int(np.argmax(lv[idx]))]]), s.depth * s.w2_angles + 2))
         prof.metadata["lower_bound"] = True
         return prof
 
@@ -551,7 +519,7 @@ class CriterionSweep:
         sweep = np.concatenate([np.asarray([0j]), self.grid])
         phi_at = np.concatenate([np.asarray([complex(self.phi.eval(0j))]),
                                  self.phi_at_grid])
-        t_levels = [(k, 1.0 - 2.0 ** -k) for k in range(s.s2_level_start, s.depth + 1)]
+        t_levels = [(k, 1.0 - 2.0 ** -k) for k in range(S2_LEVEL_START, s.depth + 1)]
         moduli: dict[int, np.ndarray] = {}
         zeta = sym.roots_of_unity(s.s2_boundary_n)
         profiles = []
@@ -576,40 +544,28 @@ class CriterionSweep:
 
     # -- dispatch -----------------------------------------------------------------
 
+    #: profile kind -> method; the A-hyp kinds also take a metric
+    PROFILES = {"L": profile_l, "VMOA-iii": profile_vmoa_iii, "S1": profile_s1,
+                "A-double": profile_a_double, "A-prime": profile_a_prime,
+                "A-hyp-double": profile_a_hyp_double,
+                "A-hyp-center": profile_a_hyp_center,
+                "W1": profile_w1, "W2": profile_w2, "S2": profile_s2}
+
     def profile(self, kind: str, metric=None):
-        if kind == "L":
-            return self.profile_l()
-        if kind == "VMOA-iii":
-            return self.profile_vmoa_iii()
-        if kind == "S1":
-            return self.profile_s1()
-        if kind == "A-double":
-            return self.profile_a_double()
-        if kind == "A-prime":
-            return self.profile_a_prime()
-        if kind == "A-hyp-double":
-            return self.profile_a_hyp_double(metric)
-        if kind == "A-hyp-center":
-            return self.profile_a_hyp_center(metric)
-        if kind == "W1":
-            return self.profile_w1()
-        if kind == "W2":
-            return self.profile_w2()
-        if kind == "S2":
-            return self.profile_s2()
-        raise ValueError(f"unknown criterion kind {kind!r}")
+        """The profile of one kind (a list of profiles for S2)."""
+        if kind not in self.PROFILES:
+            raise ValueError(f"unknown criterion kind {kind!r}")
+        method = self.PROFILES[kind]
+        return method(self) if metric is None else method(self, metric)
+
+
+PROFILE_KINDS = tuple(CriterionSweep.PROFILES)
 
 
 def _metric_name(metric) -> str:
     if metric == "rho2":
         return "rho2"
     return f"tau^{metric[1]:g}"
-
-
-def criterion_profile(phi: sym.Symbol, kind: str,
-                      settings: SweepSettings | None = None, metric=None):
-    """One-shot profile computation (see CriterionSweep for batch use)."""
-    return CriterionSweep(phi, settings).profile(kind, metric)
 
 
 # ---------------------------------------------------------------------------

@@ -93,8 +93,6 @@ def moebius(a: ComplexLike, z):
     if abs(a) >= 1.0:
         raise GeometryError(f"moebius parameter must be interior, got |a| = {abs(a)}")
     z = np.asarray(z, dtype=complex) if not np.isscalar(z) else z
-    if isinstance(z, DiscPoint):
-        z = z.value
     return (a - z) / (1.0 - np.conj(a) * z)
 
 
@@ -130,7 +128,6 @@ def tau_from_rho(r):
     r = np.asarray(r, dtype=float)
     with np.errstate(divide="ignore"):
         out = np.where(r >= 1.0, np.inf, np.arctanh(np.minimum(r, 1.0 - 1e-17)))
-        out = np.where(r >= 1.0, np.inf, out)
     return out
 
 
@@ -170,25 +167,6 @@ def poisson_kernel(a: ComplexLike, zeta):
         zeta = zeta.value
     zeta = np.asarray(zeta, dtype=complex)
     return (1.0 - abs(a) ** 2) / np.abs(zeta - a) ** 2
-
-
-@dataclass(frozen=True)
-class Automorphism:
-    """The disc automorphism sigma_a; it is its own inverse."""
-
-    a: complex
-
-    def __post_init__(self):
-        a = as_complex(self.a)
-        if abs(a) >= 1.0:
-            raise GeometryError(f"automorphism base point must be interior: |a| = {abs(a)}")
-        object.__setattr__(self, "a", a)
-
-    def __call__(self, z):
-        return moebius(self.a, z)
-
-    def inverse(self) -> "Automorphism":
-        return self
 
 
 # ---------------------------------------------------------------------------
@@ -233,11 +211,6 @@ class Arc:
         lo = float(self.center) - float(self.length) / 2.0
         t = lo + float(self.length) * (np.arange(m) + 0.5) / m
         return np.exp(2j * math.pi * t)
-
-    def endpoints_complex(self) -> tuple[complex, complex]:
-        lo, hi = self.span()
-        return (complex(np.exp(2j * math.pi * float(lo))),
-                complex(np.exp(2j * math.pi * float(hi))))
 
 
 def arc_of(a: ComplexLike) -> Arc:

@@ -63,11 +63,6 @@ class LinearCombination:
         return complex(out) if scalar and out.ndim == 0 else out
 
 
-def eval_function(f, z):
-    """Evaluate a Symbol or any object exposing ``eval`` at points z."""
-    return f.eval(z)
-
-
 def sample_boundary(f, n: int) -> np.ndarray:
     """Boundary samples at the n-th roots of unity (cached for symbols).
 
@@ -146,7 +141,7 @@ def garsia_gamma(f, a: complex, n: int = 4096, tol: float = GAMMA_TOL,
     size = grid_size_for(a, n)
     while True:
         zeta = sym.roots_of_unity(size)
-        moved = eval_function(f, moebius(a, zeta))
+        moved = f.eval(moebius(a, zeta))
         direct = math.sqrt(float(np.mean(np.abs(moved - fa) ** 2)))
         fv = sample_boundary(f, size)
         weighted = float(np.mean(np.abs(fv - fa) ** 2 * poisson_kernel(a, zeta)))
@@ -192,29 +187,36 @@ class SeminormEstimate:
 SWEEP_CHUNK = 2 ** 17
 
 
-def poisson_gamma_sweep(f, points: np.ndarray, base_n: int = 4096,
-                        chunk: int = SWEEP_CHUNK) -> np.ndarray:
-    """Poisson-route gamma(f, a) for every a in ``points`` (vectorized).
+def poisson_sweep(points: np.ndarray, centers: np.ndarray, boundary, dist2,
+                  base_n: int) -> np.ndarray:
+    """sqrt of the Poisson mean of ``dist2(boundary(zeta), c)`` at every a in
+    ``points``, where c is the matching entry of ``centers``.
 
+    ``boundary`` is the function whose boundary samples enter the mean.
     Points are grouped by the grid size their radius demands; each group is
-    processed in chunks to bound memory.
+    processed in chunks of ``SWEEP_CHUNK`` elements to bound memory.
     """
-    points = np.asarray(points, dtype=complex)
     out = np.empty(len(points))
     sizes = np.array([grid_size_for(a, base_n) for a in points])
-    fa_all = np.asarray(f.eval(points), dtype=complex)
     for size in np.unique(sizes):
         idx = np.nonzero(sizes == size)[0]
-        fv = sample_boundary(f, int(size))
+        fv = sample_boundary(boundary, int(size))
         zeta = sym.roots_of_unity(int(size))
-        rows = max(1, int(chunk // size))
+        rows = max(1, int(SWEEP_CHUNK // size))
         for start in range(0, len(idx), rows):
             sel = idx[start:start + rows]
             aa = points[sel][:, None]
             pk = (1.0 - np.abs(aa) ** 2) / np.abs(zeta[None, :] - aa) ** 2
-            diff2 = np.abs(fv[None, :] - fa_all[sel][:, None]) ** 2
-            out[sel] = np.sqrt(np.maximum(np.mean(diff2 * pk, axis=1), 0.0))
+            d2 = dist2(fv[None, :], centers[sel][:, None])
+            out[sel] = np.sqrt(np.maximum(np.mean(d2 * pk, axis=1), 0.0))
     return out
+
+
+def poisson_gamma_sweep(f, points: np.ndarray, base_n: int = 4096) -> np.ndarray:
+    """Poisson-route gamma(f, a) for every a in ``points`` (vectorized)."""
+    points = np.asarray(points, dtype=complex)
+    return poisson_sweep(points, np.asarray(f.eval(points), dtype=complex), f,
+                         lambda u, c: np.abs(u - c) ** 2, base_n)
 
 
 def ring_gamma_sweep(f, radii: Sequence[float], angles: int,

@@ -24,9 +24,6 @@ DEGREE_CAP = 64
 #: roots this close to the unit circle are flagged boundary-ambiguous
 BOUNDARY_AMBIGUITY = 1e-8
 
-#: eigenvalue clusters within this radius count as one multiple root
-CLUSTER_RADIUS = 1e-8
-
 
 class RationalFormError(ValueError):
     """Lowering failed: degree cap exceeded or poles touch the closed disc."""
@@ -190,19 +187,6 @@ def counting_function(psi: RationalForm, w: complex) -> float:
         raise ValueError("w coincides with psi(0); the counting function diverges there")
     pre = preimages(psi, w)
     return float(sum(-math.log(abs(z)) for z in pre.roots))
-
-
-def cluster_roots(roots, radius: float = CLUSTER_RADIUS) -> list[tuple[complex, int]]:
-    """Greedy clustering of near-coincident roots into (center, multiplicity)."""
-    out: list[tuple[complex, int]] = []
-    for z in roots:
-        for i, (c, m) in enumerate(out):
-            if abs(z - c) <= radius:
-                out[i] = ((c * m + z) / (m + 1), m + 1)
-                break
-        else:
-            out.append((complex(z), 1))
-    return out
 
 
 # ---------------------------------------------------------------------------

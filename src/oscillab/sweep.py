@@ -10,50 +10,60 @@ how many workers computed the profiles.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 
 from . import criteria as cr
 from . import symbols as sym
-
-KNOWN_CRITERIA = set(cr.PROFILE_KINDS)
 
 
 class ConfigError(ValueError):
     """Invalid sweep configuration or CLI input."""
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    """JSON-serializable description of one criterion sweep."""
+def _is_int(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+
+
+#: the check each scalar config field must pass, by its declared type
+_TYPE_CHECKS = {"int": _is_int, "float": _is_real, "str": lambda x: isinstance(x, str),
+                "bool": lambda x: isinstance(x, bool),
+                "tuple": lambda x: isinstance(x, (list, tuple))}
+
+
+@dataclass(frozen=True, kw_only=True)
+class SweepConfig(cr.SweepSettings):
+    """JSON-serializable description of one criterion sweep: the symbol,
+    the criteria to profile, where to write, and the sweep settings."""
 
     symbol: dict
     criteria: tuple = ("L",)
-    depth: int = 12
-    angles: int = 64
-    base_n: int = 4096
-    arc_samples: int = 128
-    epsilon: float = 0.15
-    delta: float = 0.1
-    s2_epsilon: float = 0.05
-    tau_cap: float = 50.0
-    tau_power: float = 1.0
-    s2_radii: tuple = (0.25, 0.5, 0.75)
-    s2_boundary_n: int = 8192
-    w1_powers: tuple = (1, 2, 4, 8, 16, 32, 64, 128)
-    w2_angles: int = 16
-    level_start: int = 4
     seed: int = 0
-    workers: int | None = None
     out_dir: str = "sweep-out"
     plots: bool = False
 
     def __post_init__(self):
+        for f in fields(self):
+            check = _TYPE_CHECKS.get(f.type)
+            if check is not None and not check(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be of type {f.type}, "
+                                  f"got {getattr(self, f.name)!r}")
+        if not self.w1_powers or not all(_is_int(n) and n >= 1 for n in self.w1_powers):
+            raise ConfigError(f"w1_powers must be a nonempty list of integers >= 1, "
+                              f"got {list(self.w1_powers)}")
+        if not all(_is_real(r) and 0.0 < r < 1.0 for r in self.s2_radii):
+            raise ConfigError(f"s2_radii entries must lie in (0, 1), got {list(self.s2_radii)}")
         if not self.criteria:
             raise ConfigError("no criteria selected")
-        unknown = [k for k in self.criteria if k not in KNOWN_CRITERIA]
+        unknown = [k for k in self.criteria if k not in cr.PROFILE_KINDS]
         if unknown:
-            raise ConfigError(f"unknown criteria {unknown}; known: {sorted(KNOWN_CRITERIA)}")
+            raise ConfigError(f"unknown criteria {unknown}; known: {list(cr.PROFILE_KINDS)}")
         object.__setattr__(self, "criteria", tuple(self.criteria))
         object.__setattr__(self, "s2_radii", tuple(float(r) for r in self.s2_radii))
         object.__setattr__(self, "w1_powers", tuple(int(n) for n in self.w1_powers))
@@ -64,13 +74,12 @@ class SweepConfig:
             raise ConfigError(f"angles out of range: {self.angles}")
         if self.w2_angles < 4 or self.w2_angles > 4096:
             raise ConfigError(f"w2_angles out of range: {self.w2_angles}")
-        if not self.w1_powers or min(self.w1_powers) < 1:
-            raise ConfigError(f"w1_powers must be a nonempty list of integers >= 1, "
-                              f"got {list(self.w1_powers)}")
         if self.base_n < 64 or self.base_n & (self.base_n - 1):
             raise ConfigError(f"base_n must be a power of two >= 64, got {self.base_n}")
         if self.arc_samples < 64:
             raise ConfigError(f"arc_samples must be >= 64, got {self.arc_samples}")
+        if self.s2_boundary_n < 64:
+            raise ConfigError(f"s2_boundary_n must be >= 64, got {self.s2_boundary_n}")
         if not (0.0 < self.delta <= self.epsilon < 1.0):
             raise ConfigError(f"need 0 < delta <= epsilon < 1, got "
                               f"{self.delta}, {self.epsilon}")
@@ -82,20 +91,11 @@ class SweepConfig:
             raise ConfigError(f"bad symbol description: {exc}") from exc
 
     def settings(self) -> cr.SweepSettings:
-        return cr.SweepSettings(
-            depth=self.depth, angles=self.angles, base_n=self.base_n,
-            arc_samples=self.arc_samples, epsilon=self.epsilon, delta=self.delta,
-            s2_epsilon=self.s2_epsilon, tau_cap=self.tau_cap, tau_power=self.tau_power,
-            s2_radii=self.s2_radii, s2_boundary_n=self.s2_boundary_n,
-            w1_powers=self.w1_powers, w2_angles=self.w2_angles,
-            level_start=self.level_start)
+        return cr.SweepSettings(**{f.name: getattr(self, f.name)
+                                   for f in fields(cr.SweepSettings)})
 
     def to_json(self) -> str:
-        data = {f.name: getattr(self, f.name) for f in fields(self)}
-        data["criteria"] = list(self.criteria)
-        data["s2_radii"] = list(self.s2_radii)
-        data["w1_powers"] = list(self.w1_powers)
-        return json.dumps(data, sort_keys=True, indent=2) + "\n"
+        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
 
     @staticmethod
     def from_json(text: str) -> "SweepConfig":
@@ -111,11 +111,7 @@ class SweepConfig:
             raise ConfigError(f"unknown config fields {sorted(unknown)}")
         if "symbol" not in data:
             raise ConfigError("config needs a 'symbol' description")
-        kwargs = dict(data)
-        for key in ("criteria", "s2_radii", "w1_powers"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        return SweepConfig(**kwargs)
+        return SweepConfig(**data)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
+import glob
 import json
 import os
+from dataclasses import fields
 
 import pytest
 
@@ -40,6 +42,30 @@ class TestSweepConfig:
     def test_unknown_fields_rejected(self):
         with pytest.raises(sw.ConfigError):
             sw.SweepConfig.from_json('{"symbol": {"kind": "identity"}, "zoom": 3}')
+
+    def test_fields_are_settings_plus_run_fields(self):
+        run_fields = {"symbol", "criteria", "seed", "out_dir", "plots"}
+        assert ({f.name for f in fields(sw.SweepConfig)}
+                == {f.name for f in fields(SweepSettings)} | run_fields)
+
+    def test_settings_round_trip_every_field(self):
+        values = dict(depth=9, angles=8, base_n=128, arc_samples=96, epsilon=0.2,
+                      delta=0.12, s2_epsilon=0.06, tau_cap=40.0, tau_power=2.0,
+                      s2_radii=(0.3, 0.6), s2_boundary_n=512, w1_powers=(1, 3),
+                      w2_angles=12, level_start=5)
+        assert set(values) == {f.name for f in fields(SweepSettings)}
+        defaults = SweepSettings()
+        assert all(getattr(defaults, k) != v for k, v in values.items())
+        cfg = sw.SweepConfig(symbol={"kind": "identity"}, **values)
+        assert cfg.settings() == SweepSettings(**values)
+
+    def test_examples_parse(self):
+        root = os.path.join(os.path.dirname(__file__), os.pardir, "examples")
+        paths = sorted(glob.glob(os.path.join(root, "*.json")))
+        assert paths
+        for path in paths:
+            with open(path, encoding="utf-8") as fh:
+                sw.SweepConfig.from_json(fh.read())
 
     @pytest.mark.parametrize("w2_angles", [0, 3, 4097])
     def test_w2_angles_range_enforced(self, w2_angles):
@@ -142,6 +168,24 @@ class TestCliCommands:
                         f'"depth": 6, "angles": 8, {field}, '
                         f'"out_dir": "{tmp_path / "out"}"}}')
         assert cli.main(["sweep", "--config", str(path)]) == 4
+
+    @pytest.mark.parametrize("field", [
+        '"w2_angles": "16"', '"tau_cap": "50"', '"w1_powers": ["x"]', '"w1_powers": [true]',
+        '"s2_boundary_n": 0', '"angles": 8.5', '"plots": "no"', '"s2_radii": [0.5, 1.5]',
+        '"s2_radii": ["0.5"]', '"criteria": "L"', '"out_dir": 3', '"tau_cap": NaN'])
+    def test_mistyped_config_exits_4(self, tmp_path, field):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"symbol": {"kind": "identity"}, "criteria": ["L", "S2"], '
+                        f'"depth": 6, "angles": 8, "out_dir": "{tmp_path / "out"}", '
+                        f'{field}}}')
+        assert cli.main(["sweep", "--config", str(path)]) == 4
+        assert not (tmp_path / "out").exists()
+
+    def test_workers_is_not_a_config_field(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"symbol": {"kind": "identity"}, "workers": 2}')
+        assert cli.main(["sweep", "--config", str(path)]) == 4
+        assert "unknown config fields" in capsys.readouterr().err
 
     def test_usage_error_exits_4(self):
         assert cli.main(["decompose", "--mode", "entropy", "--set", "x"]) == 4

@@ -164,6 +164,16 @@ class TestProfiles:
             assert all(x < y for x, y in zip(approaches, approaches[1:]))
             assert all(np.isfinite(v) for v in prof.values())
 
+    def test_table_dispatches_every_kind(self):
+        assert cr.PROFILE_KINDS == tuple(cr.CriterionSweep.PROFILES)
+        sweep = cr.CriterionSweep(s.Scale(0.5, s.Identity()), FAST)
+        for kind in cr.PROFILE_KINDS:
+            prof = sweep.profile(kind)
+            if kind == "S2":
+                assert [p.kind for p in prof] == ["S2"] * len(FAST.s2_radii)
+            else:
+                assert prof.kind == kind
+
     def test_rho_kind_values_within_unit_range(self):
         sweep = cr.CriterionSweep(s.Moebius(0.5), FAST)
         for kind in ("A-double", "A-prime"):
