@@ -30,7 +30,7 @@ import numpy as np
 from . import hardy
 from . import nevanlinna as nev
 from . import symbols as sym
-from .geometry import Arc, arc_of, center_of, poisson_kernel, rho, tau_capped
+from .geometry import Arc, arc_of, center_of, moebius, poisson_kernel, rho, tau_capped
 
 STRICT_FAMILY = ("L", "S1", "A-double", "A-prime", "W2")
 
@@ -77,17 +77,8 @@ class CriterionProfile:
     points: tuple
     metadata: dict = field(default_factory=dict)
 
-    def final_value(self) -> float:
-        if not self.points:
-            raise ValueError(f"profile {self.kind} has no resolved levels")
-        return self.points[-1][1]
-
     def values(self) -> list[float]:
         return [v for _, v in self.points]
-
-
-class InconsistentCriteriaError(RuntimeError):
-    """Equivalent criteria produced contradictory sub-verdicts."""
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +88,7 @@ class InconsistentCriteriaError(RuntimeError):
 def _composite_values(phi: sym.Symbol, a: complex, b: complex,
                       zeta: np.ndarray) -> np.ndarray:
     """sigma_b . phi . sigma_a at the boundary points ``zeta``."""
-    moved = phi.eval((a - zeta) / (1.0 - np.conj(a) * zeta))
+    moved = phi.eval(moebius(a, zeta))
     return (b - moved) / (1.0 - np.conj(b) * moved)
 
 
@@ -195,12 +186,17 @@ def composite_norm_routes(phi: sym.Symbol, a: complex, base_n: int = 4096,
 # arc statistics
 # ---------------------------------------------------------------------------
 
-def arc_mean(phi: sym.Symbol, arc: Arc, samples: int = 128) -> complex:
-    """Integral average of the boundary values over the arc (midpoint rule)."""
+def _arc_values(phi: sym.Symbol, arc: Arc, samples: int) -> np.ndarray:
+    """phi at the midpoint-rule samples of the arc."""
     if samples < 64:
         raise ValueError(f"arc under-resolved: need >= 64 samples, got {samples}")
     sym.certificate(phi)
-    return complex(np.mean(phi.eval(arc.sample_points(samples))))
+    return phi.eval(arc.sample_points(samples))
+
+
+def arc_mean(phi: sym.Symbol, arc: Arc, samples: int = 128) -> complex:
+    """Integral average of the boundary values over the arc (midpoint rule)."""
+    return complex(np.mean(_arc_values(phi, arc, samples)))
 
 
 @dataclass(frozen=True)
@@ -210,37 +206,30 @@ class ArcAverage:
     evaluations: int
 
 
-def _metric_values(u, v, metric, cap: float):
-    r = rho(u, v)
+def _average(r: np.ndarray, metric, cap: float) -> ArcAverage:
+    """Mean of the metric over the pseudo-hyperbolic distances r."""
     if metric == "rho2":
-        return r ** 2, 0
+        return ArcAverage(float(np.mean(r ** 2)), 0, r.size)
     if isinstance(metric, tuple) and metric[0] == "tau":
-        return tau_capped(r, cap=cap, power=float(metric[1]))
+        t, hits = tau_capped(r, cap=cap, power=float(metric[1]))
+        return ArcAverage(float(np.mean(t)), hits, r.size)
     raise ValueError(f"unknown metric {metric!r}; use 'rho2' or ('tau', p)")
 
 
 def arc_double_average(phi: sym.Symbol, arc: Arc, metric="rho2",
                        samples: int = 128, tau_cap: float = 50.0) -> ArcAverage:
     """|I|^-2 double integral of the metric between boundary values over I x I."""
-    if samples < 64:
-        raise ValueError(f"arc under-resolved: need >= 64 samples, got {samples}")
-    sym.certificate(phi)
-    vals = phi.eval(arc.sample_points(samples))
-    m, hits = _metric_values(vals[:, None], vals[None, :], metric, tau_cap)
-    return ArcAverage(float(np.mean(m)), hits, samples * samples)
+    vals = _arc_values(phi, arc, samples)
+    return _average(rho(vals[:, None], vals[None, :]), metric, tau_cap)
 
 
 def arc_center_average(phi: sym.Symbol, arc: Arc, metric="rho2",
                        samples: int = 128, tau_cap: float = 50.0,
                        center: complex | None = None) -> ArcAverage:
     """|I|^-1 integral over I of the metric against the value at the arc center."""
-    if samples < 64:
-        raise ValueError(f"arc under-resolved: need >= 64 samples, got {samples}")
-    sym.certificate(phi)
+    vals = _arc_values(phi, arc, samples)
     c = center_of(arc).value if center is None else complex(center)
-    vals = phi.eval(arc.sample_points(samples))
-    m, hits = _metric_values(vals, np.asarray(complex(phi.eval(c))), metric, tau_cap)
-    return ArcAverage(float(np.mean(m)), hits, samples)
+    return _average(rho(vals, np.asarray(complex(phi.eval(c)))), metric, tau_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +270,7 @@ def s2_statistic(phi: sym.Symbol, a: complex, t: float, n: int = 8192) -> float:
     if not (0.0 < t < 1.0):
         raise ValueError(f"threshold t must lie in (0, 1), got {t}")
     a = complex(a)
-    zeta = sym.roots_of_unity(n)
-    moved = np.abs(phi.eval((a - zeta) / (1.0 - np.conj(a) * zeta)))
+    moved = np.abs(phi.eval(moebius(a, sym.roots_of_unity(n))))
     return float(np.count_nonzero(moved > t)) / n
 
 
@@ -300,7 +288,8 @@ class CriterionSweep:
         self.grid = self.settings.grid()
         self.phi_at_grid = np.asarray(phi.eval(self.grid), dtype=complex)
         self._l_values: np.ndarray | None = None
-        self._arc_means: np.ndarray | None = None
+        self._arc_values: np.ndarray | None = None
+        self._doubles: dict[tuple, ArcAverage] = {}
 
     # -- cached sweeps -------------------------------------------------------
 
@@ -312,55 +301,58 @@ class CriterionSweep:
                 self.settings.base_n)
         return self._l_values
 
+    def arc_values(self) -> np.ndarray:
+        """phi on the arc samples of I(a), one row per grid point a."""
+        if self._arc_values is None:
+            s = self.settings
+            out = np.empty((len(self.grid), s.arc_samples), dtype=complex)
+            for i, a in enumerate(self.grid):
+                out[i] = _arc_values(self.phi, arc_of(complex(a)), s.arc_samples)
+            self._arc_values = out
+        return self._arc_values
+
     def arc_means(self) -> np.ndarray:
         """phi_I for the arc I(a) of every grid point."""
-        if self._arc_means is None:
-            s = self.settings
-            out = np.empty(len(self.grid), dtype=complex)
-            for i, a in enumerate(self.grid):
-                out[i] = arc_mean(self.phi, arc_of(complex(a)), s.arc_samples)
-            self._arc_means = out
-        return self._arc_means
+        return np.mean(self.arc_values(), axis=1)
 
-    # -- level bookkeeping ----------------------------------------------------
+    # -- the ladder ---------------------------------------------------------------
 
-    def _level_split(self, magnitudes: np.ndarray):
-        """Classify each ladder level against the available magnitudes.
+    def _ladder(self, kind: str, witnesses, evaluate, **meta) -> CriterionProfile:
+        """One point per ladder level k whose witnesses are the grid indices
+        ``witnesses(k, s_k)``; ``evaluate(idx)`` gives the level's (value,
+        grid size, cap hits).
 
-        Returns (k, s, indices, status) with status "ok", "vacuous" (no
-        point of the whole disc reaches the level: the level exceeds the
-        boundary sup) or "unresolved" (the grid merely has no witnesses).
+        A level without witnesses is "vacuous" when no point of the whole
+        disc reaches it (it exceeds the boundary sup) and scores 0; otherwise
+        the grid merely has no witnesses, and the level is "unresolved" and
+        dropped.
         """
-        out = []
-        sup = self.cert.sup
+        points, sizes, hits, levels = [], [], [], []
         for k, s in self.settings.levels():
-            idx = np.nonzero(magnitudes >= s)[0]
+            idx = witnesses(k, s)
             if len(idx):
-                out.append((k, s, idx, "ok"))
-            elif s >= sup - 1e-12:
-                out.append((k, s, idx, "vacuous"))
+                status, (value, size, hit) = "ok", evaluate(idx)
+            elif s >= self.cert.sup - 1e-12:
+                status, value, size, hit = "vacuous", 0.0, 0, 0
             else:
-                out.append((k, s, idx, "unresolved"))
-        return out
-
-    def _level_envelope(self, kind: str, magnitudes: np.ndarray,
-                        evaluate) -> CriterionProfile:
-        """Level-set envelope profile; ``evaluate(idx)`` gives the (value,
-        grid size) of the level whose witnesses are the grid indices idx."""
-        points, sizes, meta_levels = [], [], []
-        for k, s, idx, status in self._level_split(magnitudes):
-            if status == "ok":
-                value, size = evaluate(idx)
+                status = "unresolved"
+            levels.append({"k": k, "level": s, "status": status,
+                           "witnesses": int(len(idx))})
+            if status != "unresolved":
                 points.append((s, value))
                 sizes.append(size)
-            elif status == "vacuous":
-                points.append((s, 0.0))
-                sizes.append(0)
-            meta_levels.append({"k": k, "level": s, "status": status,
-                                "witnesses": int(len(idx))})
+                hits.append(hit)
         return CriterionProfile(kind, tuple(points), {
-            "levels": meta_levels, "grid_sizes": sizes,
-            "tau_cap_hits": [0] * len(points)})
+            "levels": levels, "grid_sizes": sizes, "tau_cap_hits": hits, **meta})
+
+    @staticmethod
+    def _level_sets(magnitudes: np.ndarray):
+        """Witnesses of level s: the grid points whose magnitude reaches s."""
+        return lambda k, s: np.nonzero(magnitudes >= s)[0]
+
+    def _ring(self, k: int, s: float) -> np.ndarray:
+        """Witnesses of level k: the grid ring |a| = 1 - 2^-k."""
+        return np.arange((k - 1) * self.settings.angles, k * self.settings.angles)
 
     # -- shared evaluators --------------------------------------------------------
 
@@ -379,71 +371,70 @@ class CriterionSweep:
 
         return best
 
-    def _refined_l(self, lv: np.ndarray, idx) -> tuple[float, int]:
+    def _refined_l(self, lv: np.ndarray, idx) -> tuple[float, int, int]:
         """The largest swept composite norm over idx, re-evaluated at its
-        argmax by the dual-route ``l_statistic``, and that point's grid size."""
+        argmax by the dual-route ``l_statistic``, that point's grid size and
+        no cap hits."""
         s = self.settings
         a = self.grid[idx[int(np.argmax(lv[idx]))]]
         value = l_statistic(self.phi, complex(a), s.base_n, hardy.GAMMA_TOL)
         return (max(value, float(np.max(lv[idx])) - hardy.GAMMA_TOL),
-                int(hardy.grid_size_for(a, s.base_n)))
+                int(hardy.grid_size_for(a, s.base_n)), 0)
 
-    def _arc_double(self, a: complex, metric) -> ArcAverage:
-        s = self.settings
-        return arc_double_average(self.phi, arc_of(a), metric, s.arc_samples, s.tau_cap)
+    def _arc_double(self, i: int, metric) -> ArcAverage:
+        """Double arc average at grid point i.  The rho matrix of each arc is
+        built once and reduced to every metric the arc kinds use; only those
+        scalars are kept."""
+        if (i, metric) not in self._doubles:
+            s = self.settings
+            vals = self.arc_values()[i]
+            r = rho(vals[:, None], vals[None, :])
+            for m in dict.fromkeys((metric, "rho2", ("tau", s.tau_power))):
+                self._doubles[(i, m)] = _average(r, m, s.tau_cap)
+        return self._doubles[(i, metric)]
 
-    def _arc_center(self, a: complex, metric) -> ArcAverage:
-        s = self.settings
-        return arc_center_average(self.phi, arc_of(a), metric, s.arc_samples,
-                                  s.tau_cap, center=a)
+    def _arc_center(self, i: int, metric) -> ArcAverage:
+        """Centered arc average at grid point i."""
+        # phi at the scalar a, as arc_center_average takes it: the array
+        # values in phi_at_grid can differ in the last bits
+        center = complex(self.phi.eval(complex(self.grid[i])))
+        return _average(rho(self.arc_values()[i], np.asarray(center)), metric,
+                        self.settings.tau_cap)
 
     def _arc_envelope(self, kind: str, average, per_arc: int) -> CriterionProfile:
         """Largest rho^2 arc average over the level sets |phi_I| >= s_k."""
-        best = self._memo_max(lambda i: average(complex(self.grid[i]), "rho2").value)
-        return self._level_envelope(kind, np.abs(self.arc_means()),
-                                    lambda idx: (best(idx), per_arc))
+        best = self._memo_max(lambda i: average(i, "rho2").value)
+        return self._ladder(kind, self._level_sets(np.abs(self.arc_means())),
+                            lambda idx: (best(idx), per_arc, 0))
 
     def _arc_ladder(self, kind: str, average, per_arc: int, metric) -> CriterionProfile:
         """Largest arc average on each ring |a| = 1 - 2^-k, with its cap hits."""
         s = self.settings
         metric = metric if metric is not None else ("tau", s.tau_power)
-        points, hits_list = [], []
-        for k, lev in s.levels():
-            best, hits = -1.0, 0
-            for a in self.grid[(k - 1) * s.angles: k * s.angles]:
-                avg = average(complex(a), metric)
-                hits += avg.cap_hits
-                best = max(best, avg.value)
-            points.append((lev, best))
-            hits_list.append(hits)
+
+        def ring_max(idx):
+            avgs = [average(int(i), metric) for i in idx]
+            return (max([-1.0] + [avg.value for avg in avgs]), per_arc,
+                    sum(avg.cap_hits for avg in avgs))
+
+        prof = self._ladder(kind, self._ring, ring_max, metric=_metric_name(metric))
         total = s.angles * per_arc
-        return CriterionProfile(kind, tuple(points), {
-            "metric": _metric_name(metric), "grid_sizes": [per_arc] * len(points),
-            "tau_cap_hits": hits_list,
-            "cap_fraction": [h / total for h in hits_list]})
+        prof.metadata["cap_fraction"] = [h / total for h in prof.metadata["tau_cap_hits"]]
+        return prof
 
     # -- individual profiles ----------------------------------------------------
 
     def profile_l(self) -> CriterionProfile:
         """Envelope of the composite norm over level sets |phi(a)| >= s_k."""
         lv = self.l_values()
-        prof = self._level_envelope("L", np.abs(self.phi_at_grid),
-                                    lambda idx: self._refined_l(lv, idx))
-        prof.metadata["lower_bound"] = True
-        return prof
+        return self._ladder("L", self._level_sets(np.abs(self.phi_at_grid)),
+                            lambda idx: self._refined_l(lv, idx), lower_bound=True)
 
     def profile_vmoa_iii(self) -> CriterionProfile:
         """Per-radius sup of the composite norm (the |a| -> 1 flavor)."""
         lv = self.l_values()
-        s = self.settings
-        points, sizes = [], []
-        for k, lev in s.levels():
-            value, size = self._refined_l(lv, np.arange((k - 1) * s.angles, k * s.angles))
-            points.append((lev, value))
-            sizes.append(size)
-        return CriterionProfile("VMOA-iii", tuple(points), {
-            "grid_sizes": sizes, "lower_bound": True,
-            "tau_cap_hits": [0] * len(points)})
+        return self._ladder("VMOA-iii", self._ring,
+                            lambda idx: self._refined_l(lv, idx), lower_bound=True)
 
     def profile_s1(self) -> CriterionProfile:
         """Envelope of the counting statistic over level sets |phi(a)| >= s_k."""
@@ -455,8 +446,8 @@ class CriterionSweep:
             return value.value
 
         best = self._memo_max(s1_at)
-        prof = self._level_envelope("S1", np.abs(self.phi_at_grid),
-                                    lambda idx: (best(idx), len(idx)))
+        prof = self._ladder("S1", self._level_sets(np.abs(self.phi_at_grid)),
+                            lambda idx: (best(idx), len(idx), 0))
         prof.metadata["flagged"] = any(flagged)
         return prof
 
@@ -502,11 +493,10 @@ class CriterionSweep:
             return w2_statistic(self.phi, b, s, extra_points=(a_star,))
 
         best = self._memo_max(w2_at)
-        prof = self._level_envelope(
-            "W2", np.abs(self.phi_at_grid),
-            lambda idx: (best([idx[int(np.argmax(lv[idx]))]]), s.depth * s.w2_angles + 2))
-        prof.metadata["lower_bound"] = True
-        return prof
+        return self._ladder(
+            "W2", self._level_sets(np.abs(self.phi_at_grid)),
+            lambda idx: (best([idx[int(np.argmax(lv[idx]))]]), s.depth * s.w2_angles + 2, 0),
+            lower_bound=True)
 
     def profile_s2(self) -> list[CriterionProfile]:
         """Level-set measure profiles, one per cutoff radius R.
@@ -530,9 +520,7 @@ class CriterionSweep:
                 best = 0.0
                 for i in eligible:
                     if int(i) not in moduli:
-                        a = complex(sweep[i])
-                        moved = (a - zeta) / (1.0 - np.conj(a) * zeta)
-                        moduli[int(i)] = np.abs(self.phi.eval(moved))
+                        moduli[int(i)] = np.abs(self.phi.eval(moebius(complex(sweep[i]), zeta)))
                     frac = float(np.count_nonzero(moduli[int(i)] > t)) / s.s2_boundary_n
                     best = max(best, frac)
                 points.append((t, best))

@@ -10,8 +10,9 @@ Profiles are computed per (entry, kind) task; tasks are independent and a
 worker pool may execute them in any order, but results are merged in task
 order so outputs are byte-identical for every worker count.  Within one
 process the tasks of an entry share a single CriterionSweep, so the kinds
-built on the same sweep (L, VMOA-iii and W2 on ``l_values``; A-double and
-A-prime on ``arc_means``) compute it once.
+built on the same sweep (L, VMOA-iii and W2 on ``l_values``; the four arc
+kinds on ``arc_values``, and A-double and A-hyp-double on each arc's rho
+matrix) compute it once.
 """
 
 from __future__ import annotations

@@ -256,23 +256,14 @@ def moebius_eval(a: DiscPoint | complex, z: DiscPoint | complex) -> DiscPoint:
 POISSON_ARC_RATIO_MIN = 2.0 / (1.0 + math.pi ** 2)
 
 
-def min_tau_over_rho_sq(tol: float = 1e-12) -> float:
-    """The best constant c with tau >= c * rho^2 on [0, 1).
-
-    tau/rho^2 diverges at both ends of (0, 1), so the minimum is interior;
-    it is located by golden-section search.
-    """
+def golden_max(f, lo: float, hi: float, tol: float) -> float:
+    """The maximizer of a unimodal f on [lo, hi] by golden-section search."""
     inv = (math.sqrt(5.0) - 1.0) / 2.0
-    lo, hi = 1e-6, 1.0 - 1e-12
-
-    def f(r: float) -> float:
-        return math.atanh(r) / (r * r)
-
     x1 = hi - inv * (hi - lo)
     x2 = lo + inv * (hi - lo)
     f1, f2 = f(x1), f(x2)
     while hi - lo > tol:
-        if f1 <= f2:
+        if f1 >= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - inv * (hi - lo)
             f1 = f(x1)
@@ -280,4 +271,16 @@ def min_tau_over_rho_sq(tol: float = 1e-12) -> float:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + inv * (hi - lo)
             f2 = f(x2)
-    return f((lo + hi) / 2.0)
+    return 0.5 * (lo + hi)
+
+
+def min_tau_over_rho_sq(tol: float = 1e-12) -> float:
+    """The best constant c with tau >= c * rho^2 on [0, 1).
+
+    tau/rho^2 diverges at both ends of (0, 1), so the minimum is interior;
+    it is located by golden-section search.
+    """
+    def f(r: float) -> float:
+        return math.atanh(r) / (r * r)
+
+    return f(golden_max(lambda r: -f(r), 1e-6, 1.0 - 1e-12, tol))

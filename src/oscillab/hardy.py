@@ -253,19 +253,19 @@ def ring_gamma_sweep(f, radii: Sequence[float], angles: int,
     return out
 
 
-def _anchored_max(f, values: np.ndarray, points: np.ndarray, base_n: int,
-                  refine: bool = True) -> tuple[float, complex]:
+def _anchored_max(f, values: np.ndarray, points: np.ndarray,
+                  base_n: int) -> tuple[float, complex]:
     """The largest swept value and its point, re-evaluated there by the
     dual-route ``garsia_gamma`` (skipped beyond |a| = 0.9999)."""
     k = int(np.argmax(values))
     best, a = float(values[k]), complex(points[k])
-    if refine and abs(a) <= 0.9999:
+    if abs(a) <= 0.9999:
         best = max(garsia_gamma(f, a, base_n), best - GAMMA_TOL)
     return best, a
 
 
 def bmoa_seminorm(f, grid: np.ndarray | None = None, depth: int = 12,
-                  angles: int = 64, base_n: int = 4096, refine: bool = True,
+                  angles: int = 64, base_n: int = 4096,
                   extra_points: Sequence[complex] = ()) -> SeminormEstimate:
     """Lower-bound estimate of the BMOA seminorm over a point grid.
 
@@ -290,7 +290,7 @@ def bmoa_seminorm(f, grid: np.ndarray | None = None, depth: int = 12,
         if len(grid) == 0:
             raise ValueError("seminorm estimate needs a nonempty grid")
         values = poisson_gamma_sweep(f, grid, base_n)
-    best, argmax = _anchored_max(f, values, grid, base_n, refine)
+    best, argmax = _anchored_max(f, values, grid, base_n)
     return SeminormEstimate(best, desc, True, argmax)
 
 

@@ -33,9 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hardy
+from .geometry import golden_max
 from .symbols import Moebius
-
-GOLD = (math.sqrt(5.0) - 1.0) / 2.0
 
 TWO_PI = 2.0 * math.pi
 
@@ -214,22 +213,6 @@ class TestSequence:
         return test_function(self.base_points[i].value)
 
 
-def _golden_max(f, lo: float, hi: float, tol: float = 1e-10) -> float:
-    x1 = hi - GOLD * (hi - lo)
-    x2 = lo + GOLD * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while hi - lo > tol:
-        if f1 >= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - GOLD * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + GOLD * (hi - lo)
-            f2 = f(x2)
-    return 0.5 * (lo + hi)
-
-
 def circle_sup_gamma(b, radius_gap: float) -> float:
     """sup over |a| = 1 - radius_gap of gamma(sigma_b - b, a).
 
@@ -241,7 +224,7 @@ def circle_sup_gamma(b, radius_gap: float) -> float:
     def val(rel_turns: float) -> float:
         return gamma_gap(b, GapPoint(radius_gap, b.turns + rel_turns))
 
-    best = _golden_max(val, -0.5, 0.5)
+    best = golden_max(val, -0.5, 0.5, 1e-10)
     return max(val(best), val(0.0))
 
 

@@ -57,8 +57,9 @@ class SweepConfig(cr.SweepSettings):
         if not self.w1_powers or not all(_is_int(n) and n >= 1 for n in self.w1_powers):
             raise ConfigError(f"w1_powers must be a nonempty list of integers >= 1, "
                               f"got {list(self.w1_powers)}")
-        if not all(_is_real(r) and 0.0 < r < 1.0 for r in self.s2_radii):
-            raise ConfigError(f"s2_radii entries must lie in (0, 1), got {list(self.s2_radii)}")
+        if not self.s2_radii or not all(_is_real(r) and 0.0 < r < 1.0 for r in self.s2_radii):
+            raise ConfigError(f"s2_radii must be a nonempty list of numbers in (0, 1), "
+                              f"got {list(self.s2_radii)}")
         if not self.criteria:
             raise ConfigError("no criteria selected")
         unknown = [k for k in self.criteria if k not in cr.PROFILE_KINDS]

@@ -421,4 +421,8 @@ def symbol_from_json(data: dict) -> Symbol:
             return Scale(float(data["factor"]), symbol_from_json(data["inner"]))
     except KeyError as exc:
         raise SymbolError(f"symbol description of kind {kind!r} is missing {exc}") from exc
+    except SymbolError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise SymbolError(f"malformed symbol description of kind {kind!r}: {exc}") from exc
     raise SymbolError(f"unknown symbol kind {kind!r}")

@@ -161,6 +161,17 @@ class TestCliCommands:
         path.write_text('{"symbol": {"kind": "warp"}, "criteria": ["L"]}')
         assert cli.main(["sweep", "--config", str(path)]) == 4
 
+    @pytest.mark.parametrize("symbol", [
+        '{"kind": "const", "value": ["x", 0]}', '{"kind": "poly", "coefficients": 5}',
+        '{"kind": "scale", "factor": "x", "inner": {"kind": "identity"}}',
+        '{"kind": "blaschke", "factor": [1, 0], "zeros": 3}'])
+    def test_malformed_symbol_exits_4(self, tmp_path, symbol):
+        path = tmp_path / "cfg.json"
+        path.write_text(f'{{"symbol": {symbol}, "criteria": ["L"], '
+                        f'"out_dir": "{tmp_path / "out"}"}}')
+        assert cli.main(["sweep", "--config", str(path)]) == 4
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("field", ['"w2_angles": 0', '"w1_powers": [0]'])
     def test_bad_w_settings_exit_4(self, tmp_path, field):
         path = tmp_path / "cfg.json"
@@ -172,7 +183,8 @@ class TestCliCommands:
     @pytest.mark.parametrize("field", [
         '"w2_angles": "16"', '"tau_cap": "50"', '"w1_powers": ["x"]', '"w1_powers": [true]',
         '"s2_boundary_n": 0', '"angles": 8.5', '"plots": "no"', '"s2_radii": [0.5, 1.5]',
-        '"s2_radii": ["0.5"]', '"criteria": "L"', '"out_dir": 3', '"tau_cap": NaN'])
+        '"s2_radii": ["0.5"]', '"s2_radii": []', '"criteria": "L"', '"out_dir": 3',
+        '"tau_cap": NaN'])
     def test_mistyped_config_exits_4(self, tmp_path, field):
         path = tmp_path / "cfg.json"
         path.write_text('{"symbol": {"kind": "identity"}, "criteria": ["L", "S2"], '

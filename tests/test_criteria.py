@@ -225,6 +225,54 @@ class TestProfiles:
         assert len(prof.points) == 5
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("phi", [s.Polynomial((0, 0.5, 0.5)),
+                                     s.Blaschke(1.0, (0.3, -0.5j, 0.4 + 0.4j))],
+                             ids=["touching", "blaschke-3"])
+    def test_sweep_arc_averages_equal_public_functions(self, phi):
+        # the sweep samples each arc once and reduces it in place; every
+        # per-point value must stay == to the public arc functions.  The
+        # centre value is phi at the scalar a: the array evaluation behind
+        # phi_at_grid differs in the last bits for Blaschke products
+        sweep = cr.CriterionSweep(phi, FAST)
+        for i, a in enumerate(sweep.grid):
+            arc = arc_of(complex(a))
+            assert sweep.arc_means()[i] == cr.arc_mean(phi, arc, FAST.arc_samples)
+            for metric in ("rho2", ("tau", FAST.tau_power)):
+                assert sweep._arc_double(i, metric) == cr.arc_double_average(
+                    phi, arc, metric, FAST.arc_samples, FAST.tau_cap)
+                assert sweep._arc_center(i, metric) == cr.arc_center_average(
+                    phi, arc, metric, FAST.arc_samples, FAST.tau_cap, center=a)
+
+    def test_double_kinds_share_each_arc_rho_matrix(self, monkeypatch):
+        matrices = []
+        real = cr.rho
+
+        def counting(z, w):
+            out = real(z, w)
+            if np.ndim(out) == 2:
+                matrices.append(out.shape)
+            return out
+
+        monkeypatch.setattr(cr, "rho", counting)
+        sweep = cr.CriterionSweep(s.Polynomial((0, 0.5, 0.5)), FAST)
+        sweep.profile("A-double")
+        from_a_double = len(matrices)
+        sweep.profile("A-hyp-double")
+        first_level = FAST.levels()[0][1]
+        witnesses = set(np.nonzero(np.abs(sweep.arc_means()) >= first_level)[0].tolist())
+        rings = set(range((FAST.level_start - 1) * FAST.angles, FAST.depth * FAST.angles))
+        assert 0 < from_a_double < len(matrices)
+        assert len(matrices) == len(witnesses | rings)
+        assert set(matrices) == {(FAST.arc_samples, FAST.arc_samples)}
+
+    def test_ring_kinds_record_their_levels(self):
+        sweep = cr.CriterionSweep(s.Polynomial((0.5, 0.5)), FAST)
+        for kind in ("VMOA-iii", "A-hyp-double", "A-hyp-center"):
+            levels = sweep.profile(kind).metadata["levels"]
+            assert [m["k"] for m in levels] == [k for k, _ in FAST.levels()]
+            assert all(m["status"] == "ok" and m["witnesses"] == FAST.angles
+                       for m in levels)
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             cr.CriterionSweep(s.Identity(), FAST).profile("Q")
