@@ -8,7 +8,8 @@ Subcommands:
   identities  cross-module identity suite on the gallery
 
 Exit codes: 0 success, 2 gallery verdict mismatch, 3 inconsistent
-equivalence diagnostics (or failed identities), 4 configuration errors.
+equivalence diagnostics (or failed identities, or quadrature routes that
+do not agree at some witness point), 4 configuration errors.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from . import dyadic
 from . import leibov
 from . import sweep as sweep_mod
 from .gallery import DEFAULT_KINDS, EXTRA_KINDS, GALLERY, run_gallery
+from .hardy import QuadratureError
 from .sweep import ConfigError, SweepConfig
 
 EXIT_OK = 0
@@ -258,6 +260,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except QuadratureError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INCONSISTENT
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -22,6 +22,7 @@ into exit code 3.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -121,8 +122,8 @@ def l_statistic(phi: sym.Symbol, a: complex, base_n: int = 4096,
             return poisson
         if size >= max_n:
             raise hardy.QuadratureError(
-                f"l-statistic routes disagree by {abs(direct - poisson):.3e} at n = {size}",
-                direct=direct, poisson=poisson, n=size)
+                f"l-statistic routes disagree by {abs(direct - poisson):.3e} at n = {size}, "
+                f"a = {a!r}", direct=direct, poisson=poisson, n=size, point=a)
         size *= 2
 
 
@@ -206,21 +207,51 @@ class ArcAverage:
     evaluations: int
 
 
+def _metric_terms(r: np.ndarray, metric, cap: float) -> tuple[np.ndarray, int]:
+    """The metric at the pseudo-hyperbolic distances r, with its cap hits."""
+    if metric == "rho2":
+        return r ** 2, 0
+    if isinstance(metric, tuple) and metric[0] == "tau":
+        return tau_capped(r, cap=cap, power=float(metric[1]))
+    raise ValueError(f"unknown metric {metric!r}; use 'rho2' or ('tau', p)")
+
+
 def _average(r: np.ndarray, metric, cap: float) -> ArcAverage:
     """Mean of the metric over the pseudo-hyperbolic distances r."""
-    if metric == "rho2":
-        return ArcAverage(float(np.mean(r ** 2)), 0, r.size)
-    if isinstance(metric, tuple) and metric[0] == "tau":
-        t, hits = tau_capped(r, cap=cap, power=float(metric[1]))
-        return ArcAverage(float(np.mean(t)), hits, r.size)
-    raise ValueError(f"unknown metric {metric!r}; use 'rho2' or ('tau', p)")
+    terms, hits = _metric_terms(r, metric, cap)
+    return ArcAverage(float(np.mean(terms)), hits, r.size)
+
+
+@functools.lru_cache(maxsize=8)
+def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the strict upper triangle of an n x n matrix."""
+    pairs = np.triu_indices(n, 1)
+    for idx in pairs:
+        idx.setflags(write=False)
+    return pairs
+
+
+def _double_averages(vals: np.ndarray, metrics, cap: float) -> dict:
+    """The I x I double average of each metric between the arc samples vals.
+
+    rho is symmetric with a zero diagonal (where every metric vanishes), so
+    it is built on the strict upper triangle only: each mean over the n^2
+    pairs is 2 sum / n^2, and each clipped pair is hit twice.
+    """
+    n = len(vals)
+    rows, cols = _upper_pairs(n)
+    r = rho(vals[rows], vals[cols])
+    out = {}
+    for metric in metrics:
+        terms, hits = _metric_terms(r, metric, cap)
+        out[metric] = ArcAverage(2.0 * float(np.sum(terms)) / (n * n), 2 * hits, n * n)
+    return out
 
 
 def arc_double_average(phi: sym.Symbol, arc: Arc, metric="rho2",
                        samples: int = 128, tau_cap: float = 50.0) -> ArcAverage:
     """|I|^-2 double integral of the metric between boundary values over I x I."""
-    vals = _arc_values(phi, arc, samples)
-    return _average(rho(vals[:, None], vals[None, :]), metric, tau_cap)
+    return _double_averages(_arc_values(phi, arc, samples), [metric], tau_cap)[metric]
 
 
 def arc_center_average(phi: sym.Symbol, arc: Arc, metric="rho2",
@@ -382,15 +413,17 @@ class CriterionSweep:
                 int(hardy.grid_size_for(a, s.base_n)), 0)
 
     def _arc_double(self, i: int, metric) -> ArcAverage:
-        """Double arc average at grid point i.  The rho matrix of each arc is
-        built once and reduced to every metric the arc kinds use; only those
-        scalars are kept."""
+        """Double arc average at grid point i.  The rho values of each arc are
+        built once and reduced to the rho^2 mean, to the capped tau mean when
+        A-hyp-double reads the arc (its rings k >= level_start), and to the
+        requested metric; only those scalars are kept."""
         if (i, metric) not in self._doubles:
             s = self.settings
-            vals = self.arc_values()[i]
-            r = rho(vals[:, None], vals[None, :])
-            for m in dict.fromkeys((metric, "rho2", ("tau", s.tau_power))):
-                self._doubles[(i, m)] = _average(r, m, s.tau_cap)
+            metrics = [metric, "rho2"]
+            if i >= (s.level_start - 1) * s.angles:
+                metrics.append(("tau", s.tau_power))
+            averages = _double_averages(self.arc_values()[i], dict.fromkeys(metrics), s.tau_cap)
+            self._doubles.update({(i, m): avg for m, avg in averages.items()})
         return self._doubles[(i, metric)]
 
     def _arc_center(self, i: int, metric) -> ArcAverage:
@@ -437,18 +470,22 @@ class CriterionSweep:
                             lambda idx: self._refined_l(lv, idx), lower_bound=True)
 
     def profile_s1(self) -> CriterionProfile:
-        """Envelope of the counting statistic over level sets |phi(a)| >= s_k."""
-        flagged = []
+        """Envelope of the counting statistic over level sets |phi(a)| >= s_k.
 
-        def s1_at(i):
-            value = nev.s1_statistic(self.phi, complex(self.grid[i]))
-            flagged.append(value.flagged)
-            return value.value
-
-        best = self._memo_max(s1_at)
-        prof = self._ladder("S1", self._level_sets(np.abs(self.phi_at_grid)),
-                            lambda idx: (best(idx), len(idx), 0))
-        prof.metadata["flagged"] = any(flagged)
+        The level sets are nested, so the statistic is computed once at the
+        witnesses of the first level, ``nev.S1_CHUNK`` points per call, and
+        every level takes its maximum from those values.
+        """
+        level_sets = self._level_sets(np.abs(self.phi_at_grid))
+        first = level_sets(*self.settings.levels()[0])
+        results = []
+        for start in range(0, len(first), nev.S1_CHUNK):
+            results += nev.s1_statistics(self.phi, self.grid[first[start:start + nev.S1_CHUNK]])
+        values = np.full(len(self.grid), -1.0)
+        values[first] = [r.value for r in results]
+        prof = self._ladder("S1", level_sets,
+                            lambda idx: (float(np.max(values[idx])), len(idx), 0))
+        prof.metadata["flagged"] = any(r.flagged for r in results)
         return prof
 
     def profile_a_double(self) -> CriterionProfile:

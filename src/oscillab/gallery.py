@@ -11,8 +11,8 @@ worker pool may execute them in any order, but results are merged in task
 order so outputs are byte-identical for every worker count.  Within one
 process the tasks of an entry share a single CriterionSweep, so the kinds
 built on the same sweep (L, VMOA-iii and W2 on ``l_values``; the four arc
-kinds on ``arc_values``, and A-double and A-hyp-double on each arc's rho
-matrix) compute it once.
+kinds on ``arc_values``, and A-double and A-hyp-double on each arc's
+pairwise rho values) compute it once.
 """
 
 from __future__ import annotations

@@ -33,13 +33,19 @@ GAMMA_TOL = 1e-8
 
 
 class QuadratureError(RuntimeError):
-    """Dual quadrature routes failed to agree within tolerance."""
+    """Dual quadrature routes failed to agree within tolerance at the
+    witness point ``point``."""
 
-    def __init__(self, message, direct=None, poisson=None, n=None):
+    def __init__(self, message, direct=None, poisson=None, n=None, point=None):
         super().__init__(message)
         self.direct = direct
         self.poisson = poisson
         self.n = n
+        self.point = point
+
+    def __reduce__(self):
+        # keep the fields when a pool worker sends the error back
+        return type(self), (self.args[0], self.direct, self.poisson, self.n, self.point)
 
 
 @dataclass(frozen=True)
@@ -150,8 +156,8 @@ def garsia_gamma(f, a: complex, n: int = 4096, tol: float = GAMMA_TOL,
             return direct
         if size >= max_n:
             raise QuadratureError(
-                f"gamma routes disagree by {abs(direct - poisson):.3e} at n = {size}",
-                direct=direct, poisson=poisson, n=size)
+                f"gamma routes disagree by {abs(direct - poisson):.3e} at n = {size}, "
+                f"a = {a!r}", direct=direct, poisson=poisson, n=size, point=a)
         size *= 2
 
 

@@ -6,11 +6,14 @@ roots of p - w q inside the disc, found by companion-matrix eigenvalues
 (``numpy.roots``) and polished by Newton iteration; N(psi, w) then sums
 log(1/|z|) over them with multiplicity.  The boundary-approach statistic
 maximizes |w|^2 N(sigma_phi(a) . phi . sigma_a, w) over a deterministic
-w-grid with local stencil refinement around the argmax.
+w-grid with local stencil refinement around the argmax, for many points a
+at once: for degree <= 2 the composites are stacked coefficient rows and
+N has a closed form.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -23,6 +26,9 @@ DEGREE_CAP = 64
 
 #: roots this close to the unit circle are flagged boundary-ambiguous
 BOUNDARY_AMBIGUITY = 1e-8
+
+#: a lowered denominator must have every root of modulus above 1 + this
+POLE_CLEARANCE = 1e-9
 
 
 class RationalFormError(ValueError):
@@ -59,7 +65,7 @@ class RationalForm:
         den = tuple(c / scale for c in den)
         if len(den) > 1:
             roots = np.roots(np.asarray(den[::-1]))
-            if len(roots) and float(np.min(np.abs(roots))) <= 1.0 + 1e-9:
+            if len(roots) and float(np.min(np.abs(roots))) <= 1.0 + POLE_CLEARANCE:
                 raise RationalFormError(
                     f"denominator root of modulus {float(np.min(np.abs(roots)))} inside the closed disc")
         object.__setattr__(self, "num", num)
@@ -193,35 +199,62 @@ def counting_function(psi: RationalForm, w: complex) -> float:
 # the boundary-approach statistic
 # ---------------------------------------------------------------------------
 
+#: points per batch of the stacked S1 pass: 64 points x the 512-point w-grid
+#: keeps each (points x w) temporary at 2^15 elements
+S1_CHUNK = 64
+
+#: stacked rows whose smallest denominator root lies within this of
+#: RationalForm's closed-disc test are lowered point by point, so that its
+#: own check decides them; the margin covers the ~sqrt(eps) spread that root
+#: finders show on a double pole such as (1 - conj(a) z)^2, on either side
+POLE_MARGIN = 5e-8
+
+
+def _quadratic_roots(c, b, a):
+    """Both roots of c + b z + a z^2, elementwise, each from its stable
+    formula; a root lost to a coefficient below 1e-13 is inf."""
+    tiny = 1e-13
+    lead_ok = np.abs(a) > tiny
+    disc = np.sqrt(b * b - 4.0 * a * c)
+    q = -0.5 * (b + np.where(np.real(np.conj(b) * disc) >= 0, disc, -disc))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r1 = np.where(lead_ok, q / np.where(lead_ok, a, 1.0), np.inf)
+        r2 = np.where(np.abs(q) > tiny, c / np.where(np.abs(q) > tiny, q, 1.0), np.inf)
+        lin = np.where(np.abs(b) > tiny, -c / np.where(np.abs(b) > tiny, b, 1.0), np.inf)
+    return np.where(lead_ok, r1, lin), np.where(lead_ok, r2, np.inf)
+
+
+def _closed_form_counts(num: np.ndarray, den: np.ndarray,
+                        ws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """N(p/q, w) for degree <= 2, one row per rational form.
+
+    ``num`` and ``den`` hold ascending coefficients, one row per form,
+    padded to a common width of at most 3; ``ws`` is an array of w values,
+    either shared by every row or one row of w values per form.  Returns
+    the counts (forms x w) and, per form, whether some root was
+    boundary-ambiguous.
+    """
+    deg = num.shape[1] - 1
+    c = num[:, 0, None] - ws * den[:, 0, None]
+    b = (num[:, 1, None] - ws * den[:, 1, None]) if deg >= 1 else np.zeros_like(c)
+    a = (num[:, 2, None] - ws * den[:, 2, None]) if deg >= 2 else np.zeros_like(c)
+    mods = np.abs(np.stack(_quadratic_roots(c, b, a)))
+    ambiguous = np.any(np.abs(mods - 1.0) <= BOUNDARY_AMBIGUITY, axis=(0, 2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logs = np.where(mods < 1.0, -np.log(np.where(mods > 0, mods, 1.0)), 0.0)
+    return logs.sum(axis=0), ambiguous
+
+
 def _counting_batch(psi: RationalForm, ws: np.ndarray) -> tuple[np.ndarray, bool]:
     """N(psi, w) for an array of w; closed forms for degree <= 2."""
-    num = np.asarray(psi.num)
-    den = np.zeros(max(len(psi.num), len(psi.den)), dtype=complex)
-    den[: len(psi.den)] = psi.den
-    num_p = np.zeros_like(den)
-    num_p[: len(num)] = num
-    deg = len(den) - 1
-    if deg <= 2:
-        c = num_p[0] - ws * den[0]
-        b = (num_p[1] - ws * den[1]) if deg >= 1 else np.zeros_like(ws)
-        a = (num_p[2] - ws * den[2]) if deg >= 2 else np.zeros_like(ws)
-        roots = []
-        tiny = 1e-13
-        lead_ok = np.abs(a) > tiny
-        disc = np.sqrt(b * b - 4.0 * a * c)
-        q = -0.5 * (b + np.where(np.real(np.conj(b) * disc) >= 0, disc, -disc))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r1 = np.where(lead_ok, q / np.where(lead_ok, a, 1.0), np.inf)
-            r2 = np.where(np.abs(q) > tiny, c / np.where(np.abs(q) > tiny, q, 1.0), np.inf)
-            lin = np.where(np.abs(b) > tiny, -c / np.where(np.abs(b) > tiny, b, 1.0), np.inf)
-        r1 = np.where(lead_ok, r1, lin)
-        r2 = np.where(lead_ok, r2, np.inf)
-        roots = np.stack([r1, r2])
-        mods = np.abs(roots)
-        ambiguous = bool(np.any(np.abs(mods - 1.0) <= BOUNDARY_AMBIGUITY))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logs = np.where(mods < 1.0, -np.log(np.where(mods > 0, mods, 1.0)), 0.0)
-        return logs.sum(axis=0), ambiguous
+    width = max(len(psi.num), len(psi.den))
+    if width <= 3:
+        num = np.zeros((1, width), dtype=complex)
+        den = np.zeros((1, width), dtype=complex)
+        num[0, : len(psi.num)] = psi.num
+        den[0, : len(psi.den)] = psi.den
+        values, ambiguous = _closed_form_counts(num, den, ws)
+        return values[0], bool(ambiguous[0])
     values = np.empty(len(ws))
     ambiguous = False
     for i, w in enumerate(ws):
@@ -231,13 +264,19 @@ def _counting_batch(psi: RationalForm, ws: np.ndarray) -> tuple[np.ndarray, bool
     return values, ambiguous
 
 
+@functools.lru_cache(maxsize=8)
 def default_w_grid(radial_depth: int = 8, angles: int = 32) -> np.ndarray:
-    """Deterministic grid covering 0 < |w| < 1: radii 2^-k and 1 - 2^-k."""
+    """Deterministic grid covering 0 < |w| < 1: radii 2^-k and 1 - 2^-k.
+
+    Built once per shape and returned read-only, so no caller can change
+    the cached grid.
+    """
     radii = sorted({2.0 ** -k for k in range(1, radial_depth + 1)}
                    | {1.0 - 2.0 ** -k for k in range(1, radial_depth + 1)})
     thetas = 2.0 * math.pi * np.arange(angles) / angles
     grid = np.array([r * complex(math.cos(t), math.sin(t))
                      for r in radii for t in thetas])
+    grid.setflags(write=False)
     return grid
 
 
@@ -248,40 +287,155 @@ class S1Value:
     flagged: bool           # some root was boundary-ambiguous
 
 
-def s1_statistic(phi: sym.Symbol, a: complex, w_grid: np.ndarray | None = None,
-                 refine_rounds: int = 3) -> S1Value:
-    """sup over the w-grid of |w|^2 N(sigma_phi(a) . phi . sigma_a, w).
+def _composite_form(phi: sym.Symbol, a: complex) -> RationalForm:
+    """sigma_phi(a) . phi . sigma_a lowered as one symbol tree (the per-point
+    path: any degree, and every error RationalForm raises)."""
+    b = complex(phi.eval(a))
+    return to_rational(sym.Compose(sym.Moebius(b), sym.Compose(phi, sym.Moebius(a))))
+
+
+def _times_linear(rows: np.ndarray, c0: np.ndarray, c1: np.ndarray) -> np.ndarray:
+    """Coefficient rows times (c0 + c1 z), one factor per row."""
+    out = np.zeros((rows.shape[0], rows.shape[1] + 1), dtype=complex)
+    out[:, :-1] = rows * c0[:, None]
+    out[:, 1:] += rows * c1[:, None]
+    return out
+
+
+def _normalized(num: np.ndarray, den: np.ndarray):
+    """RationalForm's scale normalisation row by row (rows of width <= 3),
+    plus the smallest denominator root modulus of each row (inf when the
+    row is constant)."""
+    scale = np.maximum(np.max(np.abs(num), axis=1), np.max(np.abs(den), axis=1))
+    scale = np.where(scale == 0, 1.0, scale)[:, None]
+    num, den = num / scale, den / scale
+    coeffs = np.zeros((3, len(den)), dtype=complex)
+    coeffs[: den.shape[1]] = den.T
+    r1, r2 = _quadratic_roots(*coeffs)
+    return num, den, np.minimum(np.abs(r1), np.abs(r2))
+
+
+def _stacked_composites(lowered: RationalForm, points: np.ndarray, images: np.ndarray):
+    """Coefficient rows of sigma_b . phi . sigma_a for every point a with
+    b = phi(a), phi = p/q of degree d <= 2 lowered once.
+
+    Homogenising with (1 - conj(a) z)^d, as ``_compose_fractions`` does,
+    gives p(sigma_a) -> sum_j p_j (a - z)^j (1 - conj(a) z)^(d - j); the outer
+    sigma_b then maps (P, Q) to (b Q - P, Q - conj(b) P).  Both stages are
+    scale-normalised like RationalForm.  Returns (num, den, ok): rows with
+    ok False fail, or nearly fail, a check of the per-point lowering and
+    must be lowered point by point.
+    """
+    d = lowered.degree
+    p = np.zeros(d + 1, dtype=complex)
+    q = np.zeros(d + 1, dtype=complex)
+    p[: len(lowered.num)] = lowered.num
+    q[: len(lowered.den)] = lowered.den
+    ones = np.ones(len(points), dtype=complex)
+    basis = np.empty((len(points), d + 1, d + 1), dtype=complex)
+    for j in range(d + 1):
+        row = ones[:, None]
+        for _ in range(j):
+            row = _times_linear(row, points, -ones)
+        for _ in range(d - j):
+            row = _times_linear(row, ones, -np.conj(points))
+        basis[:, j] = row
+    inner_num, inner_den, inner_root = _normalized(p @ basis, q @ basis)
+    b = images[:, None]
+    num, den, root = _normalized(b * inner_den - inner_num, inner_den - np.conj(b) * inner_num)
+    edge = 1.0 + POLE_CLEARANCE + POLE_MARGIN
+    # the Moebius factors' own poles 1/conj(a), 1/conj(b) must clear the disc too
+    ok = ((np.maximum(np.abs(points), np.abs(images)) * edge < 1.0)
+          & (inner_root > edge) & (root > edge))
+    return num, den, ok
+
+
+def _s1_chunk(phi: sym.Symbol, lowered: RationalForm | None, points: np.ndarray,
+              ws: np.ndarray, refine_rounds: int) -> list[S1Value]:
+    """S1 at each point of one chunk, all points maximised together."""
+    m = len(points)
+    batched = np.zeros(m, dtype=bool)
+    if lowered is not None:
+        num, den, batched = _stacked_composites(lowered, points, phi.eval(points))
+        num, den = num[batched], den[batched]
+    forms = {i: _composite_form(phi, complex(points[i])) for i in np.nonzero(~batched)[0]}
+
+    def weighted_counts(cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """|w|^2 N(psi_i, w) for row i of the candidates, and each row's flag."""
+        vals = np.empty(cand.shape)
+        flags = np.zeros(m, dtype=bool)
+        if np.any(batched):
+            vals[batched], flags[batched] = _closed_form_counts(num, den, cand[batched])
+        for i, psi in forms.items():
+            vals[i], flags[i] = _counting_batch(psi, cand[i])
+        return np.abs(cand) ** 2 * vals, flags
+
+    rows = np.arange(m)
+    vals, flagged = weighted_counts(np.broadcast_to(ws, (m, len(ws))))
+    best = np.argmax(vals, axis=1)
+    best_w, best_v = ws[best], vals[rows, best]
+    dr = [0.25 * min(abs(w), 1.0 - abs(w)) for w in best_w.tolist()]
+    dt = math.pi / 32.0
+    for _ in range(refine_rounds):
+        cand = _stencils(best_w, dr, dt)
+        cvals, cflag = weighted_counts(cand)
+        flagged |= cflag
+        k = np.argmax(cvals, axis=1)
+        better = cvals[rows, k] > best_v
+        best_v = np.where(better, cvals[rows, k], best_v)
+        best_w = np.where(better, cand[rows, k], best_w)
+        dr = [step / 3.0 for step in dr]
+        dt /= 3.0
+    return [S1Value(float(v), complex(w), bool(f))
+            for v, w, f in zip(best_v, best_w, flagged)]
+
+
+def _stencils(centers: np.ndarray, dr: list, dt: float) -> np.ndarray:
+    """The 9-point polar stencil around each center, radius step dr[i] and
+    angle step dt, one row per center.  Built with Python's scalar abs,
+    atan2, cos and sin: the counting function of a higher-degree composite
+    can move by 1e-10 under a one-ulp shift of w near a critical value."""
+    out = []
+    for w, step in zip(centers.tolist(), dr):
+        r0, t0 = abs(w), math.atan2(w.imag, w.real)
+        out.append([min(max(r0 + i * step, 1e-9), 1.0 - 1e-9)
+                    * complex(math.cos(t0 + j * dt), math.sin(t0 + j * dt))
+                    for i in (-1, 0, 1) for j in (-1, 0, 1)])
+    return np.array(out)
+
+
+def s1_statistics(phi: sym.Symbol, points, w_grid: np.ndarray | None = None,
+                  refine_rounds: int = 3) -> list[S1Value]:
+    """sup over the w-grid of |w|^2 N(sigma_phi(a) . phi . sigma_a, w), for
+    every a in ``points``.
 
     The composite fixes the origin, so the excluded base point is w = 0 and
     the grid (which avoids 0) is admissible.  Three rounds of a shrinking
     9-point stencil refine the grid argmax; ties break toward smaller
     (|w|, arg w) through the deterministic grid order.
+
+    When phi lowers to degree <= 2, phi is lowered once and the composites
+    of all points are built as stacked coefficient rows and counted in
+    closed form over (points x w), ``S1_CHUNK`` points at a time.  Higher
+    degrees, and rows at the edge of a lowering check, are lowered point by
+    point and counted through ``preimages``.
     """
     sym.certificate(phi)
-    a = complex(a)
-    b = complex(phi.eval(a))
-    composite = sym.Compose(sym.Moebius(b), sym.Compose(phi, sym.Moebius(a)))
-    psi = to_rational(composite)
+    points = np.atleast_1d(np.asarray(points, dtype=complex))
     ws = default_w_grid() if w_grid is None else np.asarray(w_grid, dtype=complex)
-    vals, flagged = _counting_batch(psi, ws)
-    vals = np.abs(ws) ** 2 * vals
-    best = int(np.argmax(vals))
-    best_w, best_v = complex(ws[best]), float(vals[best])
-    dr, dt = 0.25 * min(abs(best_w), 1.0 - abs(best_w)), math.pi / 32.0
-    for _ in range(refine_rounds):
-        r0, t0 = abs(best_w), math.atan2(best_w.imag, best_w.real)
-        cand = []
-        for i in (-1, 0, 1):
-            for j in (-1, 0, 1):
-                r = min(max(r0 + i * dr, 1e-9), 1.0 - 1e-9)
-                cand.append(r * complex(math.cos(t0 + j * dt), math.sin(t0 + j * dt)))
-        cand = np.asarray(cand)
-        cvals, cflag = _counting_batch(psi, cand)
-        cvals = np.abs(cand) ** 2 * cvals
-        flagged = flagged or cflag
-        k = int(np.argmax(cvals))
-        if float(cvals[k]) > best_v:
-            best_v, best_w = float(cvals[k]), complex(cand[k])
-        dr /= 3.0
-        dt /= 3.0
-    return S1Value(best_v, best_w, flagged)
+    try:
+        lowered = to_rational(phi)
+    except RationalFormError:
+        lowered = None      # each point's lowering raises it, as for any degree
+    if lowered is not None and lowered.degree > 2:
+        lowered = None
+    out = []
+    for start in range(0, len(points), S1_CHUNK):
+        out += _s1_chunk(phi, lowered, points[start:start + S1_CHUNK], ws, refine_rounds)
+    return out
+
+
+def s1_statistic(phi: sym.Symbol, a: complex, w_grid: np.ndarray | None = None,
+                 refine_rounds: int = 3) -> S1Value:
+    """S1 at one point: the one-point case of ``s1_statistics``."""
+    return s1_statistics(phi, [complex(a)], w_grid, refine_rounds)[0]

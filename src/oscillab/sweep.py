@@ -104,6 +104,8 @@ class SweepConfig(cr.SweepSettings):
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise ConfigError(f"config nests too deeply to decode: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config must be a JSON object")
         names = {f.name for f in fields(SweepConfig)}

@@ -399,7 +399,18 @@ def symbol_to_json(phi: Symbol) -> dict:
     raise SymbolError(f"unknown symbol node {type(phi).__name__}")
 
 
+#: deepest nesting of nodes accepted from a JSON description; Python's
+#: recursion limit bounds how deep a frozen tree can be hashed or evaluated
+MAX_SYMBOL_DEPTH = 64
+
+
 def symbol_from_json(data: dict) -> Symbol:
+    return _node_from_json(data, 1)
+
+
+def _node_from_json(data: dict, depth: int) -> Symbol:
+    if depth > MAX_SYMBOL_DEPTH:
+        raise SymbolError(f"symbol description nests deeper than {MAX_SYMBOL_DEPTH} nodes")
     if not isinstance(data, dict) or "kind" not in data:
         raise SymbolError(f"symbol description must be an object with a 'kind', got {data!r}")
     kind = data["kind"]
@@ -416,9 +427,10 @@ def symbol_from_json(data: dict) -> Symbol:
             return Blaschke(_cx_from_json(data["factor"]),
                             tuple(_cx_from_json(w) for w in data["zeros"]))
         if kind == "compose":
-            return Compose(symbol_from_json(data["outer"]), symbol_from_json(data["inner"]))
+            return Compose(_node_from_json(data["outer"], depth + 1),
+                           _node_from_json(data["inner"], depth + 1))
         if kind == "scale":
-            return Scale(float(data["factor"]), symbol_from_json(data["inner"]))
+            return Scale(float(data["factor"]), _node_from_json(data["inner"], depth + 1))
     except KeyError as exc:
         raise SymbolError(f"symbol description of kind {kind!r} is missing {exc}") from exc
     except SymbolError:

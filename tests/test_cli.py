@@ -193,6 +193,26 @@ class TestCliCommands:
         assert cli.main(["sweep", "--config", str(path)]) == 4
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("nodes", [600, 1200])
+    def test_deeply_nested_symbol_exits_4(self, tmp_path, nodes):
+        symbol = '{"kind": "identity"}'
+        for _ in range(nodes):
+            symbol = f'{{"kind": "compose", "outer": {{"kind": "identity"}}, "inner": {symbol}}}'
+        path = tmp_path / "cfg.json"
+        path.write_text(f'{{"symbol": {symbol}, "criteria": ["L"], '
+                        f'"out_dir": "{tmp_path / "out"}"}}')
+        assert cli.main(["sweep", "--config", str(path)]) == 4
+        assert not (tmp_path / "out").exists()
+
+    def test_unsettled_quadrature_exits_3_with_witness(self, tmp_path, capsys):
+        # depth 16 asks for more than the 2^20-point grid cap can resolve
+        path = tmp_path / "cfg.json"
+        path.write_text('{"symbol": {"kind": "poly", "coefficients": [[0, 0], [0.5, 0], [0.5, 0]]}, '
+                        f'"criteria": ["L"], "depth": 16, "angles": 8, '
+                        f'"out_dir": "{tmp_path / "out"}"}}')
+        assert cli.main(["sweep", "--config", str(path)]) == 3
+        assert "routes disagree" in capsys.readouterr().err
+
     def test_workers_is_not_a_config_field(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text('{"symbol": {"kind": "identity"}, "workers": 2}')

@@ -6,8 +6,9 @@ import pytest
 
 from oscillab import criteria as cr
 from oscillab import hardy
+from oscillab import nevanlinna as nev
 from oscillab import symbols as s
-from oscillab.geometry import Arc, arc_of, rho
+from oscillab.geometry import Arc, arc_of, rho, tau_capped
 
 RNG = np.random.default_rng(977)
 
@@ -89,6 +90,20 @@ class TestArcStatistics:
                 lhs = cr.arc_center_average(phi, arc_of(a), center=a).value
                 rhs = cr.l_statistic(phi, a) ** 2
                 assert lhs <= 5.44 * rhs + 1e-9
+
+    @pytest.mark.parametrize("phi, a", [(s.Polynomial((0, 0.5, 0.5)), 1 - 2.0 ** -6),
+                                        (s.Blaschke(1.0, (0, 0)), 0.9),
+                                        (s.Moebius(0.5), 0.7j)])
+    def test_double_average_matches_full_matrix(self, phi, a):
+        arc = arc_of(a)
+        vals = phi.eval(arc.sample_points(128))
+        full = rho(vals[:, None], vals[None, :])
+        rho2 = cr.arc_double_average(phi, arc, "rho2", 128)
+        assert abs(rho2.value - np.mean(full ** 2)) <= 1e-14
+        t, hits = tau_capped(full, cap=50.0, power=1.0)
+        tau = cr.arc_double_average(phi, arc, ("tau", 1.0), 128, 50.0)
+        assert abs(tau.value - np.mean(t)) <= 1e-14 * max(1.0, np.mean(t))
+        assert tau.cap_hits == hits
 
     def test_tau_metric_reports_caps(self):
         sq = s.Blaschke(1.0, (0, 0))
@@ -246,10 +261,11 @@ class TestProfiles:
     def test_double_kinds_share_each_arc_rho_matrix(self, monkeypatch):
         matrices = []
         real = cr.rho
+        pairs = FAST.arc_samples * (FAST.arc_samples - 1) // 2
 
         def counting(z, w):
             out = real(z, w)
-            if np.ndim(out) == 2:
+            if np.size(out) > FAST.arc_samples:
                 matrices.append(out.shape)
             return out
 
@@ -263,7 +279,45 @@ class TestProfiles:
         rings = set(range((FAST.level_start - 1) * FAST.angles, FAST.depth * FAST.angles))
         assert 0 < from_a_double < len(matrices)
         assert len(matrices) == len(witnesses | rings)
-        assert set(matrices) == {(FAST.arc_samples, FAST.arc_samples)}
+        assert set(matrices) == {(pairs,)}
+
+    def test_tau_means_only_on_the_hyp_double_rings(self, monkeypatch):
+        calls = []
+        real = cr.tau_capped
+
+        def counting(r, cap, power):
+            calls.append(np.size(r))
+            return real(r, cap=cap, power=power)
+
+        monkeypatch.setattr(cr, "tau_capped", counting)
+        sweep = cr.CriterionSweep(s.Polynomial((0, 0.5, 0.5)), FAST)
+        sweep.profile("A-double")
+        first_level = FAST.levels()[0][1]
+        witnesses = set(np.nonzero(np.abs(sweep.arc_means()) >= first_level)[0].tolist())
+        rings = set(range((FAST.level_start - 1) * FAST.angles, FAST.depth * FAST.angles))
+        assert len(calls) == len(witnesses & rings) > 0
+        sweep.profile("A-hyp-double")
+        assert len(calls) == len(rings)
+
+    def test_s1_profile_calls_in_chunks(self, monkeypatch):
+        sizes = []
+        real = nev.s1_statistics
+
+        def counting(phi, points):
+            sizes.append(len(points))
+            return real(phi, points)
+
+        monkeypatch.setattr(nev, "s1_statistics", counting)
+        settings = cr.SweepSettings(depth=8, angles=32)
+        sweep = cr.CriterionSweep(s.Identity(), settings)
+        prof = sweep.profile("S1")
+        first = np.nonzero(np.abs(sweep.phi_at_grid) >= settings.levels()[0][1])[0]
+        assert len(sizes) > 1 and max(sizes) <= nev.S1_CHUNK
+        assert sum(sizes) == len(first)
+        values = [v.value for v in real(sweep.phi, sweep.grid[first])]
+        for level, value in prof.points:
+            on_level = np.abs(sweep.phi_at_grid[first]) >= level
+            assert value == max(np.asarray(values)[on_level])
 
     def test_ring_kinds_record_their_levels(self):
         sweep = cr.CriterionSweep(s.Polynomial((0.5, 0.5)), FAST)

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -92,6 +93,20 @@ class TestGarsiaGamma:
             ratios.append(h.garsia_gamma(f, r) / h.h2_norm(f))
         assert all(r2 >= r1 - 1e-10 for r1, r2 in zip(ratios, ratios[1:]))
         assert ratios[-1] == pytest.approx(1.0 / math.sqrt(1 - 0.81), abs=1e-6)
+
+
+class TestQuadratureError:
+    def test_errors_carry_their_witness_point(self):
+        from oscillab import criteria as cr
+        phi = s.Polynomial((0, 0.5, 0.5))
+        a = 1 - 2.0 ** -12
+        for compute in (lambda: cr.l_statistic(phi, a, 64, tol=1e-30, max_n=64),
+                        lambda: h.garsia_gamma(phi, a, 64, tol=1e-30, max_n=64)):
+            with pytest.raises(h.QuadratureError) as info:
+                compute()
+            assert info.value.point == a and repr(a) in str(info.value)
+            copy = pickle.loads(pickle.dumps(info.value))
+            assert (copy.point, copy.n, str(copy)) == (a, info.value.n, str(info.value))
 
 
 class TestSeminorm:

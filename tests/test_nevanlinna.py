@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from oscillab import criteria as cr
 from oscillab import nevanlinna as nv
 from oscillab import symbols as s
+from oscillab.gallery import GALLERY
 
 RNG = np.random.default_rng(16180)
 
@@ -147,3 +149,48 @@ class TestS1Statistic:
         assert all(v > 0.1 for v in values)
         # composite tends to a rotation, so the statistic approaches 1/(2e)
         assert values[-1] == pytest.approx(1.0 / (2 * math.e), abs=5e-3)
+
+
+class TestBatchedS1:
+    @pytest.mark.parametrize("entry", GALLERY, ids=[e.name for e in GALLERY])
+    def test_batch_matches_per_point_lowering(self, entry, monkeypatch):
+        sweep = cr.CriterionSweep(entry.symbol, cr.SweepSettings(depth=8, angles=16))
+        first = sweep.settings.levels()[0][1]
+        points = sweep.grid[np.abs(sweep.phi_at_grid) >= first]
+        batch = nv.s1_statistics(entry.symbol, points)
+        # an infinite pole margin sends every point through the per-point
+        # lowering of the whole composite tree
+        monkeypatch.setattr(nv, "POLE_MARGIN", math.inf)
+        single = [nv.s1_statistic(entry.symbol, a) for a in points]
+        assert len(batch) == len(single) == len(points)
+        for got, want in zip(batch, single):
+            assert abs(got.value - want.value) <= 1e-12
+            assert got.flagged == want.flagged
+
+    @pytest.mark.parametrize("phi", [s.Identity(), s.Polynomial((0, 0, 1)), s.Moebius(0.5),
+                                     s.Blaschke(1.0, (0.3, -0.4j, 0.5 + 0.2j))],
+                             ids=["identity", "square", "moebius", "blaschke-3"])
+    def test_inner_symbols_give_frostman_value(self, phi):
+        # sigma_phi(a) . phi . sigma_a is inner and fixes 0, and for every
+        # such psi sup |w|^2 N(psi, w) = 1/(2e) (Shapiro, Ann. of Math. 1987)
+        points = [0.0, 0.5, 0.9j, -0.6 + 0.3j, 1 - 2.0 ** -8]
+        for value in nv.s1_statistics(phi, points):
+            assert value.value == pytest.approx(1.0 / (2 * math.e), abs=1e-4)
+
+    def test_w_grid_is_cached_and_read_only(self):
+        grid = nv.default_w_grid()
+        assert grid is nv.default_w_grid()
+        before = grid.copy()
+        with pytest.raises(ValueError):
+            grid[0] = 0.0
+        assert np.array_equal(nv.default_w_grid(), before)
+
+    def test_points_spanning_chunks_match_one_chunk(self):
+        phi = s.Polynomial((0, 0.5, 0.5))
+        points = 0.9 * np.exp(2j * np.pi * np.arange(nv.S1_CHUNK + 5) / (nv.S1_CHUNK + 5))
+        tail = slice(nv.S1_CHUNK - 5, None)
+        assert nv.s1_statistics(phi, points)[tail] == nv.s1_statistics(phi, points[tail])
+
+    def test_lowering_errors_surface_per_point(self):
+        with pytest.raises(s.SymbolError):
+            nv.s1_statistics(s.Identity(), [0.5, 1.0])

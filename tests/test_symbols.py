@@ -198,6 +198,18 @@ class TestJsonCodec:
         with pytest.raises(s.SymbolError):
             s.symbol_from_json(["const"])
 
+    def test_nesting_depth_is_bounded(self):
+        def nested(nodes):
+            data = {"kind": "identity"}
+            for _ in range(nodes - 1):
+                data = {"kind": "scale", "factor": 1.0, "inner": data}
+            return data
+
+        phi = s.symbol_from_json(nested(s.MAX_SYMBOL_DEPTH))
+        assert phi.eval(0.5) == 0.5 and hash(phi) == hash(phi)
+        with pytest.raises(s.SymbolError, match="nests deeper"):
+            s.symbol_from_json(nested(s.MAX_SYMBOL_DEPTH + 1))
+
 
 class TestInvariantGuards:
     def test_blaschke_factor_must_be_unimodular(self):
