@@ -212,6 +212,8 @@ def _metric_terms(r: np.ndarray, metric, cap: float) -> tuple[np.ndarray, int]:
     if metric == "rho2":
         return r ** 2, 0
     if isinstance(metric, tuple) and metric[0] == "tau":
+        if not float(metric[1]) > 0:
+            raise ValueError(f"tau power must be > 0, got {metric[1]!r}")
         return tau_capped(r, cap=cap, power=float(metric[1]))
     raise ValueError(f"unknown metric {metric!r}; use 'rho2' or ('tau', p)")
 
@@ -234,7 +236,8 @@ def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _double_averages(vals: np.ndarray, metrics, cap: float) -> dict:
     """The I x I double average of each metric between the arc samples vals.
 
-    rho is symmetric with a zero diagonal (where every metric vanishes), so
+    rho is symmetric with a zero diagonal (where rho^2 and every tau power
+    > 0 vanish), so
     it is built on the strict upper triangle only: each mean over the n^2
     pairs is 2 sum / n^2, and each clipped pair is hit twice.
     """
@@ -473,14 +476,14 @@ class CriterionSweep:
         """Envelope of the counting statistic over level sets |phi(a)| >= s_k.
 
         The level sets are nested, so the statistic is computed once at the
-        witnesses of the first level, ``nev.S1_CHUNK`` points per call, and
-        every level takes its maximum from those values.
+        witnesses of the first level, and every level takes its maximum from
+        those values.  A ladder without levels (depth < level_start) gives
+        an empty profile.
         """
         level_sets = self._level_sets(np.abs(self.phi_at_grid))
-        first = level_sets(*self.settings.levels()[0])
-        results = []
-        for start in range(0, len(first), nev.S1_CHUNK):
-            results += nev.s1_statistics(self.phi, self.grid[first[start:start + nev.S1_CHUNK]])
+        levels = self.settings.levels()
+        first = level_sets(*levels[0]) if levels else np.empty(0, dtype=int)
+        results = nev.s1_statistics(self.phi, self.grid[first]) if len(first) else []
         values = np.full(len(self.grid), -1.0)
         values[first] = [r.value for r in results]
         prof = self._ladder("S1", level_sets,

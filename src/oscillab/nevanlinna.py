@@ -203,6 +203,9 @@ def counting_function(psi: RationalForm, w: complex) -> float:
 #: keeps each (points x w) temporary at 2^15 elements
 S1_CHUNK = 64
 
+#: rounds of the shrinking 9-point stencil that refine the grid argmax
+S1_REFINE_ROUNDS = 3
+
 #: stacked rows whose smallest denominator root lies within this of
 #: RationalForm's closed-disc test are lowered point by point, so that its
 #: own check decides them; the margin covers the ~sqrt(eps) spread that root
@@ -350,9 +353,10 @@ def _stacked_composites(lowered: RationalForm, points: np.ndarray, images: np.nd
     return num, den, ok
 
 
-def _s1_chunk(phi: sym.Symbol, lowered: RationalForm | None, points: np.ndarray,
-              ws: np.ndarray, refine_rounds: int) -> list[S1Value]:
+def _s1_chunk(phi: sym.Symbol, lowered: RationalForm | None,
+              points: np.ndarray) -> list[S1Value]:
     """S1 at each point of one chunk, all points maximised together."""
+    ws = default_w_grid()
     m = len(points)
     batched = np.zeros(m, dtype=bool)
     if lowered is not None:
@@ -376,7 +380,7 @@ def _s1_chunk(phi: sym.Symbol, lowered: RationalForm | None, points: np.ndarray,
     best_w, best_v = ws[best], vals[rows, best]
     dr = [0.25 * min(abs(w), 1.0 - abs(w)) for w in best_w.tolist()]
     dt = math.pi / 32.0
-    for _ in range(refine_rounds):
+    for _ in range(S1_REFINE_ROUNDS):
         cand = _stencils(best_w, dr, dt)
         cvals, cflag = weighted_counts(cand)
         flagged |= cflag
@@ -404,8 +408,7 @@ def _stencils(centers: np.ndarray, dr: list, dt: float) -> np.ndarray:
     return np.array(out)
 
 
-def s1_statistics(phi: sym.Symbol, points, w_grid: np.ndarray | None = None,
-                  refine_rounds: int = 3) -> list[S1Value]:
+def s1_statistics(phi: sym.Symbol, points) -> list[S1Value]:
     """sup over the w-grid of |w|^2 N(sigma_phi(a) . phi . sigma_a, w), for
     every a in ``points``.
 
@@ -422,7 +425,6 @@ def s1_statistics(phi: sym.Symbol, points, w_grid: np.ndarray | None = None,
     """
     sym.certificate(phi)
     points = np.atleast_1d(np.asarray(points, dtype=complex))
-    ws = default_w_grid() if w_grid is None else np.asarray(w_grid, dtype=complex)
     try:
         lowered = to_rational(phi)
     except RationalFormError:
@@ -431,11 +433,10 @@ def s1_statistics(phi: sym.Symbol, points, w_grid: np.ndarray | None = None,
         lowered = None
     out = []
     for start in range(0, len(points), S1_CHUNK):
-        out += _s1_chunk(phi, lowered, points[start:start + S1_CHUNK], ws, refine_rounds)
+        out += _s1_chunk(phi, lowered, points[start:start + S1_CHUNK])
     return out
 
 
-def s1_statistic(phi: sym.Symbol, a: complex, w_grid: np.ndarray | None = None,
-                 refine_rounds: int = 3) -> S1Value:
+def s1_statistic(phi: sym.Symbol, a: complex) -> S1Value:
     """S1 at one point: the one-point case of ``s1_statistics``."""
-    return s1_statistics(phi, [complex(a)], w_grid, refine_rounds)[0]
+    return s1_statistics(phi, [complex(a)])[0]

@@ -104,6 +104,10 @@ class TestArcStatistics:
         tau = cr.arc_double_average(phi, arc, ("tau", 1.0), 128, 50.0)
         assert abs(tau.value - np.mean(t)) <= 1e-14 * max(1.0, np.mean(t))
         assert tau.cap_hits == hits
+        # tau^p with p <= 0 does not vanish on the diagonal the triangle omits
+        for power in (0.0, -1.0):
+            with pytest.raises(ValueError, match="tau power"):
+                cr.arc_double_average(phi, arc, ("tau", power), 128, 50.0)
 
     def test_tau_metric_reports_caps(self):
         sq = s.Blaschke(1.0, (0, 0))
@@ -301,23 +305,30 @@ class TestProfiles:
 
     def test_s1_profile_calls_in_chunks(self, monkeypatch):
         sizes = []
-        real = nev.s1_statistics
+        real_chunk = nev._s1_chunk
 
-        def counting(phi, points):
+        def counting(phi, lowered, points):
             sizes.append(len(points))
-            return real(phi, points)
+            return real_chunk(phi, lowered, points)
 
-        monkeypatch.setattr(nev, "s1_statistics", counting)
+        monkeypatch.setattr(nev, "_s1_chunk", counting)
         settings = cr.SweepSettings(depth=8, angles=32)
         sweep = cr.CriterionSweep(s.Identity(), settings)
         prof = sweep.profile("S1")
         first = np.nonzero(np.abs(sweep.phi_at_grid) >= settings.levels()[0][1])[0]
         assert len(sizes) > 1 and max(sizes) <= nev.S1_CHUNK
         assert sum(sizes) == len(first)
-        values = [v.value for v in real(sweep.phi, sweep.grid[first])]
+        values = [v.value for v in nev.s1_statistics(sweep.phi, sweep.grid[first])]
         for level, value in prof.points:
             on_level = np.abs(sweep.phi_at_grid[first]) >= level
             assert value == max(np.asarray(values)[on_level])
+
+    def test_s1_profile_without_levels_is_empty(self):
+        settings = cr.SweepSettings(depth=3, angles=8)
+        assert settings.levels() == []
+        prof = cr.CriterionSweep(s.Identity(), settings).profile("S1")
+        assert prof.points == ()
+        assert prof.metadata["flagged"] is False
 
     def test_ring_kinds_record_their_levels(self):
         sweep = cr.CriterionSweep(s.Polynomial((0.5, 0.5)), FAST)
