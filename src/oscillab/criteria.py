@@ -572,18 +572,25 @@ class CriterionSweep:
 
     # -- dispatch -----------------------------------------------------------------
 
-    #: profile kind -> method; the A-hyp kinds also take a metric
-    PROFILES = {"L": profile_l, "VMOA-iii": profile_vmoa_iii, "S1": profile_s1,
-                "A-double": profile_a_double, "A-prime": profile_a_prime,
-                "A-hyp-double": profile_a_hyp_double,
-                "A-hyp-center": profile_a_hyp_center,
-                "W1": profile_w1, "W2": profile_w2, "S2": profile_s2}
+    #: profile kind -> (method, the cached sweep state it reads or None);
+    #: kinds that read one state are cheapest on one sweep object.  The
+    #: A-hyp kinds also take a metric.
+    PROFILES = {"L": (profile_l, "l_values"),
+                "VMOA-iii": (profile_vmoa_iii, "l_values"),
+                "S1": (profile_s1, None),
+                "A-double": (profile_a_double, "arc_values"),
+                "A-prime": (profile_a_prime, "arc_values"),
+                "A-hyp-double": (profile_a_hyp_double, "arc_values"),
+                "A-hyp-center": (profile_a_hyp_center, "arc_values"),
+                "W1": (profile_w1, None),
+                "W2": (profile_w2, "l_values"),
+                "S2": (profile_s2, None)}
 
     def profile(self, kind: str, metric=None):
         """The profile of one kind (a list of profiles for S2)."""
         if kind not in self.PROFILES:
             raise ValueError(f"unknown criterion kind {kind!r}")
-        method = self.PROFILES[kind]
+        method, _ = self.PROFILES[kind]
         return method(self) if metric is None else method(self, metric)
 
 

@@ -6,13 +6,15 @@ maps whose profiles pin at 1, and boundary-touching polynomials where the
 interplay between criteria is nontrivial (the half-shift map satisfies the
 level-set measure condition yet fails every norm criterion).
 
-Profiles are computed per (entry, kind) task; tasks are independent and a
-worker pool may execute them in any order, but results are merged in task
-order so outputs are byte-identical for every worker count.  Within one
-process the tasks of an entry share a single CriterionSweep, so the kinds
-built on the same sweep (L, VMOA-iii and W2 on ``l_values``; the four arc
+Profiles are computed per (entry, kind) task.  Within one process the
+tasks of an entry share a single CriterionSweep, so the kinds built on the
+same cached sweep state (L, VMOA-iii and W2 on ``l_values``; the four arc
 kinds on ``arc_values``, and A-double and A-hyp-double on each arc's
-pairwise rho values) compute it once.
+pairwise rho values) compute it once.  The tasks are therefore grouped into
+jobs, one per (entry, shared state) and one per task of a kind without
+shared state, and every job runs in one process.  Jobs are independent and
+a worker pool may execute them in any order, but results are merged in
+task order so outputs are byte-identical for every worker count.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from dataclasses import dataclass
 
 from . import criteria as cr
 from . import symbols as sym
+from .sweep import MAX_DEPTH, ConfigError
 
 DEFAULT_KINDS = ("L", "S1", "A-double", "A-prime", "W2", "S2")
 
@@ -76,13 +79,33 @@ def _profile_task(args):
     return name, kind, _entry_sweep(name, settings).profile(kind)
 
 
+def _run_tasks(profile_task, tasks) -> list:
+    """One job: its tasks one after another, in one process."""
+    return [profile_task(t) for t in tasks]
+
+
+def _jobs(tasks) -> list[list]:
+    """Tasks grouped into jobs by (entry, the cached sweep state the kind
+    reads), in order of first appearance; a kind without shared state is a
+    job of its own."""
+    jobs: dict = {}
+    for pos, task in enumerate(tasks):
+        name, kind, _ = task
+        _, shared = cr.CriterionSweep.PROFILES[kind]
+        jobs.setdefault((name, shared) if shared else pos, []).append(task)
+    return list(jobs.values())
+
+
 def resolve_workers(workers: int | None) -> int:
     """CLI argument first, then the OSCILLAB_WORKERS override, then one."""
     if workers is not None:
         return max(1, int(workers))
     env = os.environ.get("OSCILLAB_WORKERS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ConfigError(f"OSCILLAB_WORKERS must be an integer, got {env!r}") from None
     return 1
 
 
@@ -91,16 +114,19 @@ def compute_gallery_profiles(kinds=DEFAULT_KINDS, settings: cr.SweepSettings | N
     """Profiles for every entry, as {entry_name: {kind: profile-or-list}}."""
     settings = settings or cr.SweepSettings()
     tasks = [(entry.name, kind, settings) for entry in GALLERY for kind in kinds]
+    jobs = _jobs(tasks)
+    # _profile_task is passed by reference, so a stand-in installed on this
+    # module reaches the workers as well
+    run = functools.partial(_run_tasks, _profile_task)
     count = resolve_workers(workers)
     if count <= 1:
-        results = [_profile_task(t) for t in tasks]
+        done = [run(job) for job in jobs]
     else:
         with ProcessPoolExecutor(max_workers=count) as pool:
-            results = list(pool.map(_profile_task, tasks, chunksize=1))
-    out: dict[str, dict] = {entry.name: {} for entry in GALLERY}
-    for name, kind, profile in results:
-        out[name][kind] = profile
-    return out
+            done = list(pool.map(run, jobs, chunksize=1))
+    profiles = {(name, kind): profile for results in done for name, kind, profile in results}
+    return {entry.name: {kind: profiles[entry.name, kind] for kind in kinds}
+            for entry in GALLERY}
 
 
 @dataclass(frozen=True)
@@ -139,8 +165,16 @@ class GalleryRun:
 
 def run_gallery(kinds=DEFAULT_KINDS, settings: cr.SweepSettings | None = None,
                 workers: int | None = None) -> GalleryRun:
-    """Compute profiles and verdicts for every entry; no file output here."""
+    """Compute profiles and verdicts for every entry; no file output here.
+
+    Raises ConfigError, before any profile runs, for a depth outside
+    1..MAX_DEPTH or kinds without L (the verdict needs it).
+    """
     settings = settings or cr.SweepSettings()
+    if not 1 <= settings.depth <= MAX_DEPTH:
+        raise ConfigError(f"gallery depth must lie in 1..{MAX_DEPTH}, got {settings.depth}")
+    if "L" not in kinds:
+        raise ConfigError(f"the gallery verdict needs the L criterion, got {list(kinds)}")
     profiles = compute_gallery_profiles(kinds, settings, workers)
     rows = tuple(
         GalleryRow(entry.name, entry.expected,

@@ -188,6 +188,10 @@ class SeminormEstimate:
     argmax: complex
 
 
+#: a boundary grid of n points resolves the spectrum of |f|^2 when every
+#: Fourier coefficient with |k| >= n/4 is at most this multiple of c_0
+SPECTRUM_TAIL = 1e-15
+
 #: elements per chunk of the dense Poisson sweeps (rows x boundary grid), so
 #: that the complex temporaries of one chunk stay inside the L2 cache
 SWEEP_CHUNK = 2 ** 17
@@ -234,9 +238,13 @@ def ring_gamma_sweep(f, radii: Sequence[float], angles: int,
     coefficients of |f|^2 on the boundary grid, weighted by r^|k| and folded
     by k mod ``angles``, give P[|f|^2] at every angle of the ring through one
     inverse FFT of length ``angles``.  One FFT of |f|^2 serves every ring
-    that needs the same grid size (``grid_size_for``).  The subtraction
-    cancels where gamma is small next to |f(a)|, so callers anchor the
-    maximum with ``garsia_gamma``.  Returns shape (len(radii), angles).
+    that needs the same grid size (``grid_size_for``), taken in ascending
+    order.  The weights r^|k| are applied exactly, so the grid only has to
+    resolve the spectrum of |f|^2: once a grid's spectrum is resolved (see
+    ``SPECTRUM_TAIL``) it serves every remaining ring, and no larger grid
+    is sampled.  The subtraction cancels where gamma is small next to
+    |f(a)|, so callers anchor the maximum with ``garsia_gamma``.  Returns
+    shape (len(radii), angles).
     """
     radii = np.asarray(radii, dtype=float)
     points = ring_grid(radii, angles)
@@ -250,12 +258,16 @@ def ring_gamma_sweep(f, radii: Sequence[float], angles: int,
         coeffs = np.fft.fft(fv.real ** 2 + fv.imag ** 2, norm="forward")
         freqs = np.fft.fftfreq(n, 1.0 / n)          # k in [-n/2, n/2)
         folds = freqs.astype(np.int64) % angles
-        for i in np.nonzero(sizes == size)[0]:
+        tail = np.abs(coeffs[np.abs(freqs) >= n // 4])
+        resolved = bool(np.all(tail <= SPECTRUM_TAIL * coeffs[0].real))
+        for i in np.nonzero(sizes >= size if resolved else sizes == size)[0]:
             weighted = coeffs * radii[i] ** np.abs(freqs)
             folded = (np.bincount(folds, weighted.real, angles)
                       + 1j * np.bincount(folds, weighted.imag, angles))
             poisson = np.fft.ifft(folded, norm="forward").real
             out[i] = np.sqrt(np.maximum(poisson - modulus2[i], 0.0))
+        if resolved:
+            break
     return out
 
 

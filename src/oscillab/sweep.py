@@ -23,6 +23,10 @@ class ConfigError(ValueError):
     """Invalid sweep configuration or CLI input."""
 
 
+#: the deepest ladder (levels 1 - 2^-k, k <= depth) a sweep or the gallery accepts
+MAX_DEPTH = 24
+
+
 def _is_int(x) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
@@ -68,8 +72,8 @@ class SweepConfig(cr.SweepSettings):
         object.__setattr__(self, "criteria", tuple(self.criteria))
         object.__setattr__(self, "s2_radii", tuple(float(r) for r in self.s2_radii))
         object.__setattr__(self, "w1_powers", tuple(int(n) for n in self.w1_powers))
-        if not (1 <= self.level_start <= self.depth <= 24):
-            raise ConfigError(f"need 1 <= level_start <= depth <= 24, got "
+        if not (1 <= self.level_start <= self.depth <= MAX_DEPTH):
+            raise ConfigError(f"need 1 <= level_start <= depth <= {MAX_DEPTH}, got "
                               f"{self.level_start}, {self.depth}")
         if self.angles < 4 or self.angles > 4096:
             raise ConfigError(f"angles out of range: {self.angles}")

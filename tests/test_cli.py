@@ -113,24 +113,57 @@ class TestGalleryRunner:
         assert run.exit_code == 0
         assert run.mismatches == [] and run.inconsistencies == []
 
-    def test_entry_tasks_share_one_sweep(self, monkeypatch):
+    def test_entry_tasks_share_one_sweep(self, monkeypatch, tmp_path):
+        # forked workers inherit the patches and append to one log file
         from oscillab import criteria as cr
         from oscillab import gallery
-        computed = []
-        real = cr.CriterionSweep.l_values
+        log = tmp_path / "computed.log"
+        for state in ("l_values", "arc_values"):
+            real = getattr(cr.CriterionSweep, state)
 
-        def counting(sweep):
-            if sweep._l_values is None:
-                computed.append(sweep.phi)
-            return real(sweep)
+            def logged(sweep, real=real, state=state):
+                if getattr(sweep, f"_{state}") is None:
+                    with open(log, "a", encoding="utf-8") as fh:
+                        fh.write(f"{state} {sweep.phi!r}\n")
+                return real(sweep)
 
-        monkeypatch.setattr(cr.CriterionSweep, "l_values", counting)
-        kinds = ("L", "VMOA-iii", "W2")
+            monkeypatch.setattr(cr.CriterionSweep, state, logged)
+        kinds = cr.PROFILE_KINDS
         gallery._entry_sweep.cache_clear()
-        serial = gallery.compute_gallery_profiles(kinds, FAST, workers=1)
-        assert len(computed) == len(GALLERY)
+        pooled = gallery.compute_gallery_profiles(kinds, FAST, workers=2)
+        once = sorted(f"{state} {e.symbol!r}" for e in GALLERY
+                      for state in ("l_values", "arc_values"))
+        assert sorted(log.read_text().splitlines()) == once
+        log.unlink()
         gallery._entry_sweep.cache_clear()
-        assert gallery.compute_gallery_profiles(kinds, FAST, workers=2) == serial
+        assert gallery.compute_gallery_profiles(kinds, FAST, workers=1) == pooled
+        assert sorted(log.read_text().splitlines()) == once
+
+    def test_jobs_cover_every_task_and_merge_in_task_order(self, monkeypatch):
+        from oscillab import criteria as cr
+        from oscillab import gallery
+        kinds = ("W1", "L", "A-prime", "S1", "W2", "A-double")
+        tasks = [(e.name, k, FAST) for e in GALLERY for k in kinds]
+        jobs = gallery._jobs(tasks)
+        assert sorted(t[:2] for job in jobs for t in job) == sorted(t[:2] for t in tasks)
+        for job in jobs:
+            keys = {(name, cr.CriterionSweep.PROFILES[kind][1]) for name, kind, _ in job}
+            assert len(keys) == 1
+            _, state = keys.pop()
+            assert state is not None or len(job) == 1
+        assert [kind for _, kind, _ in jobs[1]] == ["L", "W2"]
+
+        order = []
+
+        def fake_task(args):
+            order.append(args[:2])
+            return args[0], args[1], f"{args[0]}/{args[1]}"
+
+        monkeypatch.setattr(gallery, "_profile_task", fake_task)
+        out = gallery.compute_gallery_profiles(kinds, FAST, workers=1)
+        assert len(order) == len(tasks) and order != [t[:2] for t in tasks]
+        for entry in GALLERY:
+            assert list(out[entry.name].items()) == [(k, f"{entry.name}/{k}") for k in kinds]
 
     def test_entry_lookup(self):
         assert entry_by_name("identity").expected == "non-compact"
@@ -279,8 +312,25 @@ class TestCliCommands:
         monkeypatch.setenv("OSCILLAB_WORKERS", "3")
         assert resolve_workers(None) == 3
         assert resolve_workers(2) == 2
+        monkeypatch.setenv("OSCILLAB_WORKERS", "abc")
+        with pytest.raises(sw.ConfigError):
+            resolve_workers(None)
         monkeypatch.delenv("OSCILLAB_WORKERS")
         assert resolve_workers(None) == 1
+
+    def test_non_integer_workers_env_exits_4(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setenv("OSCILLAB_WORKERS", "abc")
+        assert cli.main(["gallery", "--depth", "4", "--out", str(tmp_path / "gal")]) == 4
+        assert "OSCILLAB_WORKERS" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [["--depth", "0"], ["--depth", "-2"], ["--depth", "25"],
+                                      ["--depth", "4", "--criteria", "W1"]])
+    def test_bad_gallery_arguments_exit_4_before_any_profile(self, monkeypatch, tmp_path, args):
+        from oscillab import gallery
+        ran = []
+        monkeypatch.setattr(gallery, "_profile_task", ran.append)
+        assert cli.main(["gallery", "--out", str(tmp_path / "gal"), *args]) == 4
+        assert ran == [] and not (tmp_path / "gal").exists()
 
     def test_identities_command(self, capsys):
         assert cli.main(["identities", "--points", "2", "--seed", "3"]) == 0

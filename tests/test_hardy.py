@@ -175,6 +175,67 @@ class TestRingGammaSweep:
         values = h.ring_gamma_sweep(s.Constant(0.3 - 0.2j), [0.5, 0.99], 12)
         assert np.all(values == 0.0)
 
+    @staticmethod
+    def recorded_sizes(monkeypatch):
+        """Grid sizes passed to ``hardy.sample_boundary`` from now on."""
+        sizes = []
+        real = h.sample_boundary
+
+        def recording(f, n):
+            sizes.append(n)
+            return real(f, n)
+
+        monkeypatch.setattr(h, "sample_boundary", recording)
+        return sizes
+
+    def test_resolved_spectrum_serves_the_outer_rings(self, monkeypatch):
+        # |phi^8|^2 is a trigonometric polynomial of degree 16: the first
+        # grid resolves it, although the pole-sized grid of the outer ring
+        # |a| = 1 - 2^-12 is 2^17
+        f = s.power(s.Polynomial((0, 0.5, 0.5)), 8)
+        radii = 1.0 - 2.0 ** -np.arange(1, 13)
+        sizes = self.recorded_sizes(monkeypatch)
+        ring = h.ring_gamma_sweep(f, radii, 16)
+        assert sizes and max(sizes) <= 4096
+        monkeypatch.undo()
+        direct = h.poisson_gamma_sweep(f, h.ring_grid(radii, 16).ravel())
+        assert np.max(np.abs(ring.ravel() - direct)) < 1e-10
+
+    def test_unresolved_spectrum_keeps_pole_sized_grids(self, monkeypatch):
+        # sigma_b . half-shift has its pole about 2^-11 outside the circle, so
+        # no grid up to the ring's own resolves |f|^2 and every ring takes
+        # the spectrum of its pole-sized grid, as a per-ring loop does
+        half_shift = s.Polynomial((0.5, 0.5))
+        f = s.Compose(s.Moebius(complex(half_shift.eval(1.0 - 2.0 ** -11))), half_shift)
+        radii = 1.0 - 2.0 ** -np.arange(1, 13)
+        angles = 16
+        sizes = self.recorded_sizes(monkeypatch)
+        ring = h.ring_gamma_sweep(f, radii, angles)
+        assert max(sizes) == h.grid_size_for(radii[-1], 4096)
+        monkeypatch.undo()
+        points = h.ring_grid(radii, angles)
+        reference = np.empty(points.shape)
+        for i, r in enumerate(radii):
+            n = h.grid_size_for(r, 4096)
+            fv = h.sample_boundary(f, n)
+            coeffs = np.fft.fft(fv.real ** 2 + fv.imag ** 2, norm="forward")
+            freqs = np.fft.fftfreq(n, 1.0 / n)
+            weighted = coeffs * r ** np.abs(freqs)
+            folds = freqs.astype(np.int64) % angles
+            folded = (np.bincount(folds, weighted.real, angles)
+                      + 1j * np.bincount(folds, weighted.imag, angles))
+            fa = np.asarray(f.eval(points[i]), dtype=complex)
+            reference[i] = np.sqrt(np.maximum(
+                np.fft.ifft(folded, norm="forward").real - (fa.real ** 2 + fa.imag ** 2), 0.0))
+        assert np.array_equal(ring, reference)
+
+    def test_sparse_radii_request_only_ring_grids(self, monkeypatch):
+        # no doubling ladder between the rings' own grid sizes
+        radii = (0.5, 0.9999)
+        sizes = self.recorded_sizes(monkeypatch)
+        h.vmoa_profile(s.Polynomial((0, 0.5, 0.5)), radii, angular_count=8)
+        assert sizes and set(sizes) <= {h.grid_size_for(r, 4096) for r in radii}
+
 
 class TestVmoaProfile:
     def test_constant_profile_is_zero(self):
