@@ -118,7 +118,8 @@ def compute_gallery_profiles(kinds=DEFAULT_KINDS, settings: cr.SweepSettings | N
     # _profile_task is passed by reference, so a stand-in installed on this
     # module reaches the workers as well
     run = functools.partial(_run_tasks, _profile_task)
-    count = resolve_workers(workers)
+    # a pool larger than the job list only starts idle processes
+    count = min(resolve_workers(workers), len(jobs))
     if count <= 1:
         done = [run(job) for job in jobs]
     else:

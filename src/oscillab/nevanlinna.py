@@ -2,13 +2,16 @@
 
 Every supported symbol tree lowers exactly to a rational function p/q with
 no poles on the closed disc.  Preimages of an interior value w are the
-roots of p - w q inside the disc, found by companion-matrix eigenvalues
-(``numpy.roots``) and polished by Newton iteration; N(psi, w) then sums
-log(1/|z|) over them with multiplicity.  The boundary-approach statistic
+roots of p - w q inside the disc, found as the eigenvalues of
+``numpy.roots``'s companion matrix and polished by Newton iteration;
+N(psi, w) then sums log(1/|z|) over them with multiplicity.  The boundary-approach statistic
 maximizes |w|^2 N(sigma_phi(a) . phi . sigma_a, w) over a deterministic
 w-grid with local stencil refinement around the argmax, for many points a
-at once: for degree <= 2 the composites are stacked coefficient rows and
-N has a closed form.
+at once.  For degree <= 2 the composites are stacked coefficient rows and
+N has a closed form.  Higher degrees never lower the composite: sigma_a
+and sigma_b are involutions, so its preimages of w are sigma_a(z) for the
+roots z of p - sigma_b(w) q, and the roots of all (point x w) rows come
+from one eigenvalue call on stacked companion matrices.
 """
 
 from __future__ import annotations
@@ -63,8 +66,13 @@ class RationalForm:
             scale = 1.0
         num = tuple(c / scale for c in num)
         den = tuple(c / scale for c in den)
-        if len(den) > 1:
-            roots = np.roots(np.asarray(den[::-1]))
+        # top coefficients below 1e-13 of the largest, as ``preimages`` drops
+        # them, only carry roots far outside the disc, but left in they
+        # scale the companion matrix so that the other roots are lost
+        mods = np.abs(den)
+        den_top = int(np.nonzero(mods >= 1e-13 * max(mods))[0][-1]) + 1
+        if den_top > 1:
+            roots = np.roots(np.asarray(den[:den_top][::-1]))
             if len(roots) and float(np.min(np.abs(roots))) <= 1.0 + POLE_CLEARANCE:
                 raise RationalFormError(
                     f"denominator root of modulus {float(np.min(np.abs(roots)))} inside the closed disc")
@@ -142,16 +150,38 @@ class Preimages:
     residual: float         # worst polished |F(z)| / scale
 
 
-def _newton_polish(coeffs: np.ndarray, roots: np.ndarray, steps: int = 40) -> np.ndarray:
-    dcoeffs = npoly.polyder(coeffs)
-    z = roots.copy()
+#: companion-matrix entries per ``eigvals`` call of ``_polished_roots``
+EIGVALS_BLOCK = 2 ** 20
+
+
+def _polished_roots(coeffs: np.ndarray, steps: int = 40) -> np.ndarray:
+    """All roots of equal-degree polynomials, one row of ascending
+    coefficients each, the leading one nonzero: ``numpy.roots``'s companion
+    matrices stacked into one ``eigvals`` call (per ``EIGVALS_BLOCK``
+    entries), then Newton steps on every row at once.  A row stops once its
+    largest step is below 1e-16, so its roots do not depend on the other
+    rows."""
+    n, e = coeffs.shape[0], coeffs.shape[1] - 1
+    z = np.empty((n, e), dtype=complex)
+    block = max(1, EIGVALS_BLOCK // (e * e))
+    for start in range(0, n, block):
+        c = coeffs[start:start + block]
+        comp = np.zeros((len(c), e, e), dtype=complex)
+        comp[:, 0, :] = -c[:, -2::-1] / c[:, -1, None]
+        comp[:, np.arange(1, e), np.arange(e - 1)] = 1.0
+        z[start:start + block] = np.linalg.eigvals(comp)
+    dcoeffs = coeffs[:, 1:] * np.arange(1, e + 1)
+    active = np.arange(n)
     for _ in range(steps):
-        f = npoly.polyval(z, coeffs)
-        df = npoly.polyval(z, dcoeffs)
+        za = z[active]
+        # tensor=False evaluates row i's polynomial at row i's roots only
+        f = npoly.polyval(za, coeffs[active].T[..., None], tensor=False)
+        df = npoly.polyval(za, dcoeffs[active].T[..., None], tensor=False)
         ok = np.abs(df) > 1e-300
         step = np.where(ok, f / np.where(ok, df, 1.0), 0.0)
-        z = z - step
-        if float(np.max(np.abs(step))) < 1e-16:
+        z[active] = za - step
+        active = active[np.max(np.abs(step), axis=1) >= 1e-16]
+        if len(active) == 0:
             break
     return z
 
@@ -171,8 +201,7 @@ def preimages(psi: RationalForm, w: complex) -> Preimages:
     coeffs = coeffs[:top]
     if len(coeffs) == 1:
         return Preimages((), False, 0.0)
-    roots = np.roots(coeffs[::-1])
-    roots = _newton_polish(coeffs, roots)
+    roots = _polished_roots(coeffs[None])[0]
     residual = float(np.max(np.abs(npoly.polyval(roots, coeffs)))) if len(roots) else 0.0
     mods = np.abs(roots)
     ambiguous = bool(np.any(np.abs(mods - 1.0) <= BOUNDARY_AMBIGUITY))
@@ -248,25 +277,6 @@ def _closed_form_counts(num: np.ndarray, den: np.ndarray,
     return logs.sum(axis=0), ambiguous
 
 
-def _counting_batch(psi: RationalForm, ws: np.ndarray) -> tuple[np.ndarray, bool]:
-    """N(psi, w) for an array of w; closed forms for degree <= 2."""
-    width = max(len(psi.num), len(psi.den))
-    if width <= 3:
-        num = np.zeros((1, width), dtype=complex)
-        den = np.zeros((1, width), dtype=complex)
-        num[0, : len(psi.num)] = psi.num
-        den[0, : len(psi.den)] = psi.den
-        values, ambiguous = _closed_form_counts(num, den, ws)
-        return values[0], bool(ambiguous[0])
-    values = np.empty(len(ws))
-    ambiguous = False
-    for i, w in enumerate(ws):
-        pre = preimages(psi, complex(w))
-        ambiguous = ambiguous or pre.boundary_ambiguous
-        values[i] = sum(-math.log(abs(z)) for z in pre.roots)
-    return values, ambiguous
-
-
 @functools.lru_cache(maxsize=8)
 def default_w_grid(radial_depth: int = 8, angles: int = 32) -> np.ndarray:
     """Deterministic grid covering 0 < |w| < 1: radii 2^-k and 1 - 2^-k.
@@ -291,10 +301,20 @@ class S1Value:
 
 
 def _composite_form(phi: sym.Symbol, a: complex) -> RationalForm:
-    """sigma_phi(a) . phi . sigma_a lowered as one symbol tree (the per-point
-    path: any degree, and every error RationalForm raises)."""
+    """sigma_phi(a) . phi . sigma_a lowered as one symbol tree: the per-point
+    path of degree <= 2, and the errors of sigma_a, sigma_b and the lowering
+    at every degree."""
     b = complex(phi.eval(a))
     return to_rational(sym.Compose(sym.Moebius(b), sym.Compose(phi, sym.Moebius(a))))
+
+
+def _padded(form: RationalForm) -> np.ndarray:
+    """p and q of a rational form as two coefficient rows of width
+    degree + 1."""
+    rows = np.zeros((2, form.degree + 1), dtype=complex)
+    rows[0, : len(form.num)] = form.num
+    rows[1, : len(form.den)] = form.den
+    return rows
 
 
 def _times_linear(rows: np.ndarray, c0: np.ndarray, c1: np.ndarray) -> np.ndarray:
@@ -330,10 +350,7 @@ def _stacked_composites(lowered: RationalForm, points: np.ndarray, images: np.nd
     must be lowered point by point.
     """
     d = lowered.degree
-    p = np.zeros(d + 1, dtype=complex)
-    q = np.zeros(d + 1, dtype=complex)
-    p[: len(lowered.num)] = lowered.num
-    q[: len(lowered.den)] = lowered.den
+    p, q = _padded(lowered)
     ones = np.ones(len(points), dtype=complex)
     basis = np.empty((len(points), d + 1, d + 1), dtype=complex)
     for j in range(d + 1):
@@ -353,25 +370,76 @@ def _stacked_composites(lowered: RationalForm, points: np.ndarray, images: np.nd
     return num, den, ok
 
 
+def _pullback_counts(lowered: RationalForm, points: np.ndarray, images: np.ndarray,
+                     cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """N(sigma_b . phi . sigma_a, w) for each point a (b = phi(a), given in
+    ``images``) and each w in that point's row of ``cand``, with each
+    point's flag, through the preimages of phi = p/q itself.
+
+    sigma_a and sigma_b are involutions, so the composite's preimages of w
+    are u = sigma_a(z) for the roots z of p - sigma_b(w) q.  Each row is
+    scaled by its largest coefficient and its top coefficients below 1e-13
+    are dropped, as ``preimages`` does: where sigma_b(w) = phi(infinity)
+    the lost roots sit at infinity and count nothing.  A root counts
+    log(1/|u|) when |u| < 1 and flags its point when ||u| - 1| is within
+    ``BOUNDARY_AMBIGUITY``.
+    """
+    m, k = cand.shape
+    d = lowered.degree
+    p, q = _padded(lowered)
+    b = images[:, None]
+    targets = (b - cand) / (1.0 - np.conj(b) * cand)
+    rows = (p - targets[..., None] * q).reshape(m * k, d + 1)
+    scale = np.max(np.abs(rows), axis=1, keepdims=True)
+    rows = rows / np.where(scale == 0, 1.0, scale)
+    kept = np.abs(rows) >= 1e-13
+    degree = np.where(kept.any(axis=1), d - np.argmax(kept[:, ::-1], axis=1), 0)
+    a = np.repeat(points, k)
+    mods = np.full((m * k, d), np.inf)
+    for e in np.unique(degree[degree > 0]):
+        sel = degree == e
+        z = _polished_roots(rows[sel, : e + 1])
+        mods[sel, :e] = np.abs((a[sel, None] - z) / (1.0 - np.conj(a[sel, None]) * z))
+    inside = mods < 1.0
+    logs = np.where(inside, -np.log(np.where(inside, mods, 1.0)), 0.0)
+    ambiguous = np.any(np.abs(mods - 1.0) <= BOUNDARY_AMBIGUITY, axis=1)
+    return logs.sum(axis=1).reshape(m, k), ambiguous.reshape(m, k).any(axis=1)
+
+
 def _s1_chunk(phi: sym.Symbol, lowered: RationalForm | None,
               points: np.ndarray) -> list[S1Value]:
     """S1 at each point of one chunk, all points maximised together."""
     ws = default_w_grid()
     m = len(points)
-    batched = np.zeros(m, dtype=bool)
-    if lowered is not None:
-        num, den, batched = _stacked_composites(lowered, points, phi.eval(points))
-        num, den = num[batched], den[batched]
-    forms = {i: _composite_form(phi, complex(points[i])) for i in np.nonzero(~batched)[0]}
+    if lowered is not None and lowered.degree > 2:
+        images = phi.eval(points)
+        for a in points[~((np.abs(points) < 1.0) & (np.abs(images) < 1.0))]:
+            _composite_form(phi, complex(a))    # raises sigma_a's or sigma_b's SymbolError
+
+        def counts(cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            return _pullback_counts(lowered, points, images, cand)
+    else:
+        batched = np.zeros(m, dtype=bool)
+        if lowered is not None:
+            num, den, batched = _stacked_composites(lowered, points, phi.eval(points))
+            num, den = num[batched], den[batched]
+        forms = {i: _padded(_composite_form(phi, complex(points[i])))[:, None]
+                 for i in np.nonzero(~batched)[0]}
+
+        def counts(cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            """N(psi_i, w) for row i of the candidates, and each row's flag."""
+            vals = np.empty(cand.shape)
+            flags = np.zeros(m, dtype=bool)
+            if np.any(batched):
+                vals[batched], flags[batched] = _closed_form_counts(num, den, cand[batched])
+            for i, (num_i, den_i) in forms.items():
+                values, ambiguous = _closed_form_counts(num_i, den_i, cand[i])
+                vals[i], flags[i] = values[0], ambiguous[0]
+            return vals, flags
 
     def weighted_counts(cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """|w|^2 N(psi_i, w) for row i of the candidates, and each row's flag."""
-        vals = np.empty(cand.shape)
-        flags = np.zeros(m, dtype=bool)
-        if np.any(batched):
-            vals[batched], flags[batched] = _closed_form_counts(num, den, cand[batched])
-        for i, psi in forms.items():
-            vals[i], flags[i] = _counting_batch(psi, cand[i])
+        vals, flags = counts(cand)
         return np.abs(cand) ** 2 * vals, flags
 
     rows = np.arange(m)
@@ -417,20 +485,19 @@ def s1_statistics(phi: sym.Symbol, points) -> list[S1Value]:
     9-point stencil refine the grid argmax; ties break toward smaller
     (|w|, arg w) through the deterministic grid order.
 
-    When phi lowers to degree <= 2, phi is lowered once and the composites
-    of all points are built as stacked coefficient rows and counted in
-    closed form over (points x w), ``S1_CHUNK`` points at a time.  Higher
-    degrees, and rows at the edge of a lowering check, are lowered point by
-    point and counted through ``preimages``.
+    phi is lowered once and the points are counted ``S1_CHUNK`` at a time
+    over (points x w).  For degree <= 2 the composites are built as stacked
+    coefficient rows and counted in closed form; rows at the edge of a
+    lowering check are lowered point by point.  Higher degrees count the
+    composite's preimages through phi's own (``_pullback_counts``).  A phi
+    that does not lower raises its RationalFormError from every point.
     """
     sym.certificate(phi)
     points = np.atleast_1d(np.asarray(points, dtype=complex))
     try:
         lowered = to_rational(phi)
     except RationalFormError:
-        lowered = None      # each point's lowering raises it, as for any degree
-    if lowered is not None and lowered.degree > 2:
-        lowered = None
+        lowered = None      # each point's lowering raises it
     out = []
     for start in range(0, len(points), S1_CHUNK):
         out += _s1_chunk(phi, lowered, points[start:start + S1_CHUNK])

@@ -165,6 +165,33 @@ class TestGalleryRunner:
         for entry in GALLERY:
             assert list(out[entry.name].items()) == [(k, f"{entry.name}/{k}") for k in kinds]
 
+    def test_pool_asks_for_no_more_workers_than_jobs(self, monkeypatch):
+        from oscillab import gallery
+        asked = []
+
+        class FakePool:
+            """Records its size and maps in this process; starts nothing."""
+
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize=1):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(gallery, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(gallery, "_profile_task", lambda args: (args[0], args[1], None))
+        kinds = ("L", "S1", "W2")
+        jobs = gallery._jobs([(e.name, k, FAST) for e in GALLERY for k in kinds])
+        out = gallery.compute_gallery_profiles(kinds, FAST, workers=1000)
+        assert asked == [len(jobs)] and len(jobs) < 1000
+        assert set(out) == {e.name for e in GALLERY}
+
     def test_entry_lookup(self):
         assert entry_by_name("identity").expected == "non-compact"
         with pytest.raises(KeyError):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oscillab import criteria as cr
 from oscillab import nevanlinna as nv
@@ -41,6 +42,14 @@ class TestToRational:
     def test_pole_in_disc_rejected(self):
         with pytest.raises(nv.RationalFormError):
             nv.RationalForm((1,), (1, -2))  # pole at 1/2
+
+    def test_negligible_leading_denominator_coefficient(self):
+        # the zero 1e-43 puts a denominator root at 1e43; left in the
+        # companion matrix, it scatters the triple root at 2 into the disc
+        phi = s.Blaschke(1, (0.5, 0.5, 0.5, 1e-43))
+        r = nv.to_rational(phi)
+        z = 0.6 * np.exp(2j * np.pi * RNG.uniform(0, 1, 50))
+        assert np.max(np.abs(r.eval(z) - phi.eval(z))) < 1e-12
 
 
 class TestPreimages:
@@ -194,3 +203,98 @@ class TestBatchedS1:
     def test_lowering_errors_surface_per_point(self):
         with pytest.raises(s.SymbolError):
             nv.s1_statistics(s.Identity(), [0.5, 1.0])
+
+
+FROSTMAN = 1.0 / (2 * math.e)
+
+#: degree 3-6 symbols: inner, touching, composed, and one whose phi(infinity)
+#: = 0.4 * sigma_0.5(infinity) = 0.8 lies in the disc
+PULLBACK_SYMBOLS = {
+    "blaschke-3": s.Blaschke(1.0, (0.3, -0.4j, 0.5 + 0.2j)),
+    "blaschke-5": s.Blaschke(1j, (0.5, 0.5j, -0.5, -0.5j, 0.3)),
+    "touch-4": s.Polynomial((0, 0.25, 0.25, 0.25, 0.25)),
+    "moebius-touch-6": s.Compose(s.Moebius(0.3 + 0.2j),
+                                 s.Polynomial((0.1, 0.2, 0, 0.3, 0, 0, 0.4))),
+    "drop-3": s.Compose(s.Scale(0.4, s.Moebius(0.5)), s.Polynomial((0, 1 / 3, 1 / 3, 1 / 3))),
+}
+
+
+def composite_counts(phi, a, ws):
+    """N and the boundary flag through the per-point lowering of the composite."""
+    psi = nv._composite_form(phi, a)
+    pres = [nv.preimages(psi, complex(w)) for w in ws]
+    values = [sum(-math.log(abs(z)) for z in p.roots) for p in pres]
+    return np.array(values), any(p.boundary_ambiguous for p in pres)
+
+
+def unit(angle):
+    return complex(math.cos(angle), math.sin(angle))
+
+
+class TestPullbackS1:
+    @pytest.mark.parametrize("k", [8, 12, 16])
+    def test_degree5_blaschke_gives_frostman_value_near_the_circle(self, k):
+        # the composite's own lowering gets a denominator root inside the
+        # disc here; the pullback never builds it
+        phi = s.Blaschke(1, (0.5, 0.5j, -0.5, -0.5j, 0.3))
+        assert nv.s1_statistic(phi, 1.0 - 2.0 ** -k).value == pytest.approx(FROSTMAN, abs=1e-4)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.tuples(st.floats(0.0, 0.8), st.floats(0.0, 2 * math.pi)),
+                    min_size=3, max_size=6),
+           st.floats(0.0, 2 * math.pi), st.sampled_from([0.0, 0.5, 0.9, 1 - 2.0 ** -8,
+                                                         1 - 2.0 ** -13]),
+           st.floats(0.0, 2 * math.pi))
+    def test_blaschke_products_give_frostman_value(self, zeros, turn, radius, angle):
+        phi = s.Blaschke(unit(turn), tuple(r * unit(t) for r, t in zeros))
+        value = nv.s1_statistic(phi, radius * unit(angle)).value
+        assert value == pytest.approx(FROSTMAN, abs=1e-4)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.floats(0.0, 1.0), min_size=3, max_size=6), st.floats(0.05, 1.0),
+           st.sampled_from([0.5, 0.9, 1 - 2.0 ** -8, 1 - 2.0 ** -13]),
+           st.floats(-0.5, 0.5))
+    def test_touching_polynomials_obey_littlewood(self, weights, top, radius, angle):
+        # N(psi, w) <= log 1/|w| for every self-map psi with psi(0) = 0
+        weights = [*weights, top]
+        phi = s.Polynomial(tuple(c / sum(weights) for c in weights))
+        value = nv.s1_statistic(phi, radius * unit(angle)).value
+        assert 0.0 <= value <= FROSTMAN + 1e-12
+
+    @pytest.mark.parametrize("name", sorted(PULLBACK_SYMBOLS))
+    def test_counts_match_the_composite_lowering(self, name):
+        phi = PULLBACK_SYMBOLS[name]
+        points = np.array([0.4 - 0.3j, 0.7j, -0.6 + 0.1j])
+        ws = nv.default_w_grid()
+        counts, flags = nv._pullback_counts(nv.to_rational(phi), points, phi.eval(points),
+                                            np.broadcast_to(ws, (len(points), len(ws))))
+        for i, a in enumerate(points):
+            values, flagged = composite_counts(phi, complex(a), ws)
+            assert np.max(np.abs(counts[i] - values)) <= 1e-9
+            assert flags[i] == flagged
+
+    def test_degree_drop_at_phi_of_infinity(self):
+        phi = PULLBACK_SYMBOLS["drop-3"]
+        lowered = nv.to_rational(phi)
+        assert lowered.degree == 3
+        assert lowered.num[-1] / lowered.den[-1] == pytest.approx(0.8, abs=1e-14)
+        for a in (0.0, 0.3 + 0.2j, -0.5j):
+            b = complex(phi.eval(a))
+            w = (b - 0.8) / (1 - np.conj(b) * 0.8)     # sigma_b(w) = phi(infinity)
+            counts, _ = nv._pullback_counts(lowered, np.array([a]), np.array([b]),
+                                            np.array([[w]]))
+            values, _ = composite_counts(phi, a, [w])
+            assert abs(counts[0, 0] - values[0]) <= 1e-9
+
+    @pytest.mark.parametrize("name", ["blaschke-5", "moebius-touch-6"])
+    def test_chunk_equals_point_by_point(self, name):
+        phi = PULLBACK_SYMBOLS[name]
+        points = [0.2, 0.6 - 0.3j, 0.9j, (1 - 2.0 ** -10) * unit(1.0), 1 - 2.0 ** -6]
+        assert nv.s1_statistics(phi, points) == [nv.s1_statistic(phi, a) for a in points]
+
+    def test_point_errors_surface(self):
+        phi = PULLBACK_SYMBOLS["blaschke-3"]
+        with pytest.raises(s.SymbolError):
+            nv.s1_statistics(phi, [0.5, 1.0])
+        with pytest.raises(nv.RationalFormError):
+            nv.s1_statistics(s.power(s.Identity(), nv.DEGREE_CAP + 1), [0.5])
