@@ -31,7 +31,8 @@ import numpy as np
 from . import hardy
 from . import nevanlinna as nev
 from . import symbols as sym
-from .geometry import Arc, arc_of, center_of, moebius, poisson_kernel, rho, tau_capped
+from .geometry import (Arc, arc_sample_points, center_of, moebius, poisson_kernel, rho,
+                       rho_parts, tau_capped)
 
 STRICT_FAMILY = ("L", "S1", "A-double", "A-prime", "W2")
 
@@ -187,11 +188,16 @@ def composite_norm_routes(phi: sym.Symbol, a: complex, base_n: int = 4096,
 # arc statistics
 # ---------------------------------------------------------------------------
 
-def _arc_values(phi: sym.Symbol, arc: Arc, samples: int) -> np.ndarray:
-    """phi at the midpoint-rule samples of the arc."""
+def _check_arc_samples(phi: sym.Symbol, samples: int) -> None:
+    """Arc averages need phi certified and at least 64 samples per arc."""
     if samples < 64:
         raise ValueError(f"arc under-resolved: need >= 64 samples, got {samples}")
     sym.certificate(phi)
+
+
+def _arc_values(phi: sym.Symbol, arc: Arc, samples: int) -> np.ndarray:
+    """phi at the midpoint-rule samples of the arc."""
+    _check_arc_samples(phi, samples)
     return phi.eval(arc.sample_points(samples))
 
 
@@ -207,21 +213,28 @@ class ArcAverage:
     evaluations: int
 
 
-def _metric_terms(r: np.ndarray, metric, cap: float) -> tuple[np.ndarray, int]:
-    """The metric at the pseudo-hyperbolic distances r, with its cap hits."""
+def _metric_terms(r: np.ndarray, metric, cap: float, axis=None):
+    """The metric at the pseudo-hyperbolic distances r, with its cap hits
+    (in total, or per row for ``axis=1``)."""
     if metric == "rho2":
         return r ** 2, 0
     if isinstance(metric, tuple) and metric[0] == "tau":
         if not float(metric[1]) > 0:
             raise ValueError(f"tau power must be > 0, got {metric[1]!r}")
-        return tau_capped(r, cap=cap, power=float(metric[1]))
+        return tau_capped(r, cap=cap, power=float(metric[1]), axis=axis)
     raise ValueError(f"unknown metric {metric!r}; use 'rho2' or ('tau', p)")
 
 
-def _average(r: np.ndarray, metric, cap: float) -> ArcAverage:
-    """Mean of the metric over the pseudo-hyperbolic distances r."""
-    terms, hits = _metric_terms(r, metric, cap)
-    return ArcAverage(float(np.mean(terms)), hits, r.size)
+def _row_averages(r: np.ndarray, metric, cap: float) -> list[ArcAverage]:
+    """Mean of the metric over each row of the pseudo-hyperbolic distances r.
+
+    The row means of a C-contiguous array are the same sums as the means of
+    the rows taken one by one, so every value equals its 1-D average.
+    """
+    terms, hits = _metric_terms(r, metric, cap, axis=1)
+    means = np.mean(terms, axis=1)
+    return [ArcAverage(float(v), int(h), r.shape[1])
+            for v, h in zip(means, np.broadcast_to(hits, means.shape))]
 
 
 @functools.lru_cache(maxsize=8)
@@ -243,7 +256,8 @@ def _double_averages(vals: np.ndarray, metrics, cap: float) -> dict:
     """
     n = len(vals)
     rows, cols = _upper_pairs(n)
-    r = rho(vals[rows], vals[cols])
+    re, im = vals.real.copy(), vals.imag.copy()
+    r = rho_parts(re[rows], im[rows], re[cols], im[cols])
     out = {}
     for metric in metrics:
         terms, hits = _metric_terms(r, metric, cap)
@@ -263,7 +277,7 @@ def arc_center_average(phi: sym.Symbol, arc: Arc, metric="rho2",
     """|I|^-1 integral over I of the metric against the value at the arc center."""
     vals = _arc_values(phi, arc, samples)
     c = center_of(arc).value if center is None else complex(center)
-    return _average(rho(vals, np.asarray(complex(phi.eval(c)))), metric, tau_cap)
+    return _row_averages(rho(vals[None, :], complex(phi.eval(c))), metric, tau_cap)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +338,8 @@ class CriterionSweep:
         self._l_values: np.ndarray | None = None
         self._arc_values: np.ndarray | None = None
         self._doubles: dict[tuple, ArcAverage] = {}
+        self._center_rho: np.ndarray | None = None
+        self._centered: dict = {}
 
     # -- cached sweeps -------------------------------------------------------
 
@@ -331,18 +347,16 @@ class CriterionSweep:
         """Poisson-route composite norm at every grid point (fast sweep)."""
         if self._l_values is None:
             self._l_values = hardy.poisson_sweep(
-                self.grid, self.phi_at_grid, self.phi, lambda u, c: rho(u, c) ** 2,
+                self.grid, self.phi_at_grid, self.phi, lambda u, c: np.square(rho(u, c)),
                 self.settings.base_n)
         return self._l_values
 
     def arc_values(self) -> np.ndarray:
         """phi on the arc samples of I(a), one row per grid point a."""
         if self._arc_values is None:
-            s = self.settings
-            out = np.empty((len(self.grid), s.arc_samples), dtype=complex)
-            for i, a in enumerate(self.grid):
-                out[i] = _arc_values(self.phi, arc_of(complex(a)), s.arc_samples)
-            self._arc_values = out
+            samples = self.settings.arc_samples
+            _check_arc_samples(self.phi, samples)
+            self._arc_values = self.phi.eval(arc_sample_points(self.grid, samples))
         return self._arc_values
 
     def arc_means(self) -> np.ndarray:
@@ -430,12 +444,18 @@ class CriterionSweep:
         return self._doubles[(i, metric)]
 
     def _arc_center(self, i: int, metric) -> ArcAverage:
-        """Centered arc average at grid point i."""
-        # phi at the scalar a, as arc_center_average takes it: the array
-        # values in phi_at_grid can differ in the last bits
-        center = complex(self.phi.eval(complex(self.grid[i])))
-        return _average(rho(self.arc_values()[i], np.asarray(center)), metric,
-                        self.settings.tau_cap)
+        """Centered arc average at grid point i.  One rho array, between the
+        arc samples of every grid point a and phi(a), serves every metric,
+        and each metric is reduced for all grid points at once."""
+        if self._center_rho is None:
+            # phi at each scalar a, as arc_center_average takes it: the array
+            # values in phi_at_grid can differ in the last bits
+            centers = np.array([complex(self.phi.eval(complex(a))) for a in self.grid])
+            self._center_rho = rho(self.arc_values(), centers[:, None])
+        if metric not in self._centered:
+            self._centered[metric] = _row_averages(self._center_rho, metric,
+                                                   self.settings.tau_cap)
+        return self._centered[metric][i]
 
     def _arc_envelope(self, kind: str, average, per_arc: int) -> CriterionProfile:
         """Largest rho^2 arc average over the level sets |phi_I| >= s_k."""
@@ -549,24 +569,27 @@ class CriterionSweep:
         sweep = np.concatenate([np.asarray([0j]), self.grid])
         phi_at = np.concatenate([np.asarray([complex(self.phi.eval(0j))]),
                                  self.phi_at_grid])
-        t_levels = [(k, 1.0 - 2.0 ** -k) for k in range(S2_LEVEL_START, s.depth + 1)]
-        moduli: dict[int, np.ndarray] = {}
+        t_levels = [1.0 - 2.0 ** -k for k in range(S2_LEVEL_START, s.depth + 1)]
         zeta = sym.roots_of_unity(s.s2_boundary_n)
+        # the s2_statistic count above every level, once per point eligible
+        # for some R; the levels increase, so the higher ones are counted
+        # among the values above the first
+        moduli = np.abs(phi_at)
+        fractions = np.zeros((len(sweep), len(t_levels)))
+        reach = max(s.s2_radii, default=-1.0) if t_levels else -1.0
+        for i in np.nonzero(moduli <= reach)[0]:
+            moved = np.abs(self.phi.eval(moebius(complex(sweep[i]), zeta)))
+            above = moved[moved > t_levels[0]]
+            fractions[i] = [np.count_nonzero(above > t) for t in t_levels]
+        fractions /= s.s2_boundary_n
         profiles = []
         for R in s.s2_radii:
-            eligible = np.nonzero(np.abs(phi_at) <= R)[0]
-            points = []
-            for k, t in t_levels:
-                best = 0.0
-                for i in eligible:
-                    if int(i) not in moduli:
-                        moduli[int(i)] = np.abs(self.phi.eval(moebius(complex(sweep[i]), zeta)))
-                    frac = float(np.count_nonzero(moduli[int(i)] > t)) / s.s2_boundary_n
-                    best = max(best, frac)
-                points.append((t, best))
+            eligible = moduli <= R
+            best = np.max(fractions[eligible], axis=0, initial=0.0)
+            points = [(t, float(v)) for t, v in zip(t_levels, best)]
             profiles.append(CriterionProfile("S2", tuple(points), {
                 "R": float(R), "grid_sizes": [s.s2_boundary_n] * len(points),
-                "eligible_points": int(len(eligible)),
+                "eligible_points": int(np.count_nonzero(eligible)),
                 "tau_cap_hits": [0] * len(points)}))
         return profiles
 

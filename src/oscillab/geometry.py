@@ -102,19 +102,48 @@ def rho(z, w):
     Assembled from symmetric real expressions, so swapping the arguments
     gives the bit-identical result.  The boundary degeneracy is resolved
     the standard way: coincident points give 0 (even on the circle),
-    distinct points with vanishing denominator give 1.
+    distinct points with vanishing denominator give 1.  Computed by
+    ``rho_parts`` on contiguous real and imaginary parts.
     """
     z = np.asarray(z, dtype=complex)
     w = np.asarray(w, dtype=complex)
-    zr, zi, wr, wi = z.real, z.imag, w.real, w.imag
-    num2 = (zr - wr) ** 2 + (zi - wi) ** 2
-    cross = zr * wr + zi * wi
-    mod2 = (zr * zr + zi * zi) * (wr * wr + wi * wi)
-    den2 = 1.0 - 2.0 * cross + mod2
-    safe = np.where(den2 > 0.0, den2, 1.0)
-    out = np.where(den2 > 0.0, np.sqrt(num2 / safe),
-                   np.where(num2 == 0.0, 0.0, 1.0))
-    return np.clip(out, 0.0, 1.0)
+    return rho_parts(z.real.copy(), z.imag.copy(), w.real.copy(), w.imag.copy())
+
+
+def rho_parts(zr, zi, wr, wi):
+    """``rho`` from the real and imaginary parts of z and w: float arrays,
+    the two parts of a point of one shape, that broadcast together.
+
+    Per element the arithmetic is fixed: num2 = (zr-wr)^2 + (zi-wi)^2,
+    cross = zr wr + zi wi, mod2 = |z|^2 |w|^2, den2 = 1 - 2 cross + mod2,
+    then sqrt(num2/den2) clipped to 1.  The L sweep takes an argmax over
+    values that tie up to rounding, so any other order of operations moves
+    its results.  The work is done in place in three full-size buffers, and
+    ``den2 > 0`` is tested elementwise only when some entry fails it.
+    """
+    shape = np.broadcast_shapes(np.shape(zr), np.shape(wr))
+    num2, tmp, buf = np.empty(shape), np.empty(shape), np.empty(shape)
+    np.square(np.subtract(zr, wr, out=num2), out=num2)
+    num2 += np.square(np.subtract(zi, wi, out=tmp), out=tmp)
+    den2 = np.multiply(zr, wr, out=tmp)
+    np.multiply(zi, wi, out=buf)
+    den2 += buf
+    den2 *= 2.0
+    np.subtract(1.0, den2, out=den2)
+    den2 += np.multiply(zr * zr + zi * zi, wr * wr + wi * wi, out=buf)
+    # min propagates NaN, so a NaN entry takes the masked route too
+    if den2.size and den2.min() > 0.0:
+        np.divide(num2, den2, out=num2)
+        np.sqrt(num2, out=num2)
+    else:
+        ok = den2 > 0.0
+        bad = ~ok
+        fallback = np.where(num2[bad] == 0.0, 0.0, 1.0)
+        np.divide(num2, den2, out=num2, where=ok)
+        np.sqrt(num2, out=num2, where=ok)
+        num2[bad] = fallback
+    # num2/den2 >= 0, so only the upper clip can act
+    return np.minimum(num2, 1.0, out=num2)[()]
 
 
 def pseudo_hyperbolic(z: ComplexLike, w: ComplexLike) -> float:
@@ -127,8 +156,7 @@ def tau_from_rho(r):
     tau = (1/2) log((1+rho)/(1-rho)) = atanh(rho); +inf at rho = 1."""
     r = np.asarray(r, dtype=float)
     with np.errstate(divide="ignore"):
-        out = np.where(r >= 1.0, np.inf, np.arctanh(np.minimum(r, 1.0 - 1e-17)))
-    return out
+        return np.arctanh(np.minimum(r, 1.0))
 
 
 def tau(z, w):
@@ -141,14 +169,16 @@ def hyperbolic(z: ComplexLike, w: ComplexLike) -> float:
     return float(tau(as_complex(z), as_complex(w)))
 
 
-def tau_capped(rho_values, cap: float = DEFAULT_TAU_CAP, power: float = 1.0):
+def tau_capped(rho_values, cap: float = DEFAULT_TAU_CAP, power: float = 1.0, axis=None):
     """Clipped powers of the hyperbolic metric for use inside integrals.
 
     Returns ``(min(tau, cap) ** power, hits)`` where ``hits`` counts the
-    integrand evaluations that were clipped at the cap.
+    integrand evaluations that were clipped at the cap: in total, or along
+    ``axis`` (an array, one count per row for ``axis=1``).
     """
     t = tau_from_rho(rho_values)
-    hits = int(np.count_nonzero(t > cap))
+    hits = np.count_nonzero(t > cap, axis=axis)
+    hits = int(hits) if axis is None else hits
     t = np.minimum(t, cap)
     if power != 1.0:
         t = t ** power
@@ -206,11 +236,33 @@ class Arc:
 
     def sample_points(self, m: int) -> np.ndarray:
         """``m`` midpoint-rule boundary samples inside the arc."""
-        if m < 1:
-            raise GeometryError("need at least one sample")
-        lo = float(self.center) - float(self.length) / 2.0
-        t = lo + float(self.length) * (np.arange(m) + 0.5) / m
-        return np.exp(2j * math.pi * t)
+        return _midpoint_samples(float(self.center), float(self.length), m)
+
+
+def _midpoint_samples(center, length, m: int) -> np.ndarray:
+    """exp(2 pi i t) at t = lo + length (k + 1/2) / m for k < m, where lo =
+    center - length / 2 (turns).  ``center`` and ``length`` are floats, or
+    columns that give one row of samples per arc."""
+    if m < 1:
+        raise GeometryError("need at least one sample")
+    lo = center - length / 2.0
+    t = lo + length * (np.arange(m) + 0.5) / m
+    return np.exp(2j * math.pi * t)
+
+
+def _arc_turns(a: complex) -> tuple[float, float]:
+    """Midpoint angle and length, in turns, of the arc of ``a``."""
+    r = abs(a)
+    if r >= 1.0:
+        raise GeometryError(f"arc_of needs an interior point, got |a| = {r}")
+    if r == 0.0:
+        return 0.0, 1.0
+    theta = math.atan2(a.imag, a.real) / TWO_PI
+    if theta < 0.0:
+        theta += 1.0
+    if theta >= 1.0:
+        theta = 0.0
+    return theta, 1.0 - r
 
 
 def arc_of(a: ComplexLike) -> Arc:
@@ -220,18 +272,15 @@ def arc_of(a: ComplexLike) -> Arc:
     (binary) rationals of the floating point data, so round trips through
     ``center_of`` reproduce the input to floating precision.
     """
-    a = as_complex(a)
-    r = abs(a)
-    if r >= 1.0:
-        raise GeometryError(f"arc_of needs an interior point, got |a| = {r}")
-    if r == 0.0:
-        return Arc(Fraction(0), Fraction(1))
-    theta = math.atan2(a.imag, a.real) / TWO_PI
-    if theta < 0.0:
-        theta += 1.0
-    if theta >= 1.0:
-        theta = 0.0
-    return Arc(Fraction(theta), Fraction(1.0 - r))
+    center, length = _arc_turns(as_complex(a))
+    return Arc(Fraction(center), Fraction(length))
+
+
+def arc_sample_points(points, m: int) -> np.ndarray:
+    """``arc_of(a).sample_points(m)`` for every a in ``points``, one row per
+    point, computed as one (points x m) array."""
+    turns = np.array([_arc_turns(complex(a)) for a in np.ravel(points)]).reshape(-1, 2)
+    return _midpoint_samples(turns[:, :1], turns[:, 1:], m)
 
 
 def center_of(arc: Arc) -> DiscPoint:

@@ -264,16 +264,16 @@ class TestProfiles:
 
     def test_double_kinds_share_each_arc_rho_matrix(self, monkeypatch):
         matrices = []
-        real = cr.rho
+        real = cr.rho_parts
         pairs = FAST.arc_samples * (FAST.arc_samples - 1) // 2
 
-        def counting(z, w):
-            out = real(z, w)
+        def counting(zr, zi, wr, wi):
+            out = real(zr, zi, wr, wi)
             if np.size(out) > FAST.arc_samples:
                 matrices.append(out.shape)
             return out
 
-        monkeypatch.setattr(cr, "rho", counting)
+        monkeypatch.setattr(cr, "rho_parts", counting)
         sweep = cr.CriterionSweep(s.Polynomial((0, 0.5, 0.5)), FAST)
         sweep.profile("A-double")
         from_a_double = len(matrices)
@@ -289,9 +289,9 @@ class TestProfiles:
         calls = []
         real = cr.tau_capped
 
-        def counting(r, cap, power):
+        def counting(r, cap, power, axis=None):
             calls.append(np.size(r))
-            return real(r, cap=cap, power=power)
+            return real(r, cap=cap, power=power, axis=axis)
 
         monkeypatch.setattr(cr, "tau_capped", counting)
         sweep = cr.CriterionSweep(s.Polynomial((0, 0.5, 0.5)), FAST)
@@ -329,6 +329,24 @@ class TestProfiles:
         prof = cr.CriterionSweep(s.Identity(), settings).profile("S1")
         assert prof.points == ()
         assert prof.metadata["flagged"] is False
+
+    @pytest.mark.parametrize("phi", [s.Polynomial((0.5, 0.5)), s.Polynomial((0, 0.5, 0.5))],
+                             ids=["half-shift", "quad-touch"])
+    def test_s2_profile_is_the_pointwise_maximum(self, phi):
+        # every level of every R is the largest s2_statistic over the points
+        # with |phi(a)| <= R, the origin among them
+        sweep = cr.CriterionSweep(phi, FAST)
+        points = np.concatenate([[0j], sweep.grid])
+        moduli = np.abs(phi.eval(points))
+        profiles = sweep.profile("S2")
+        assert [p.metadata["R"] for p in profiles] == list(FAST.s2_radii)
+        for prof in profiles:
+            eligible = points[moduli <= prof.metadata["R"]]
+            assert prof.metadata["eligible_points"] == len(eligible)
+            assert len(prof.points) == FAST.depth - cr.S2_LEVEL_START + 1
+            for t, value in prof.points:
+                assert value == max([0.0] + [cr.s2_statistic(phi, a, t, FAST.s2_boundary_n)
+                                             for a in eligible])
 
     def test_ring_kinds_record_their_levels(self):
         sweep = cr.CriterionSweep(s.Polynomial((0.5, 0.5)), FAST)

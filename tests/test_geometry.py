@@ -78,6 +78,66 @@ class TestPseudoHyperbolic:
         assert np.all(vals >= 0) and np.all(vals <= 1)
 
 
+def rho_oracle(z, w):
+    # the pseudo-hyperbolic expression as first written; the L sweep's argmax
+    # over rounding ties depends on these exact per-element operations
+    z = np.asarray(z, dtype=complex)
+    w = np.asarray(w, dtype=complex)
+    zr, zi, wr, wi = z.real, z.imag, w.real, w.imag
+    num2 = (zr - wr) ** 2 + (zi - wi) ** 2
+    cross = zr * wr + zi * wi
+    mod2 = (zr * zr + zi * zi) * (wr * wr + wi * wi)
+    den2 = 1.0 - 2.0 * cross + mod2
+    safe = np.where(den2 > 0.0, den2, 1.0)
+    out = np.where(den2 > 0.0, np.sqrt(num2 / safe),
+                   np.where(num2 == 0.0, 0.0, 1.0))
+    return np.clip(out, 0.0, 1.0)
+
+
+class TestRhoKernel:
+    @staticmethod
+    def assert_bits(z, w):
+        with np.errstate(all="ignore"):
+            want = rho_oracle(z, w)
+            got, swapped = g.rho(z, w), g.rho(w, z)
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(swapped, got, equal_nan=True)
+
+    def test_random_interior_pairs(self):
+        self.assert_bits(random_interior(5000), random_interior(5000))
+
+    def test_row_by_column_broadcast(self):
+        # the shape of the L sweep: boundary values by a column of centres
+        boundary = random_interior(4096, radius=1.0)
+        self.assert_bits(boundary[None, :], random_interior(32)[:, None])
+
+    def test_zero_dimensional(self):
+        z, w = random_interior(2)
+        self.assert_bits(z, w)
+        self.assert_bits(np.asarray(z), 0.5)
+        assert isinstance(g.rho(z, w), np.float64)
+
+    def test_unimodular_points(self):
+        # den2 <= 0 on the circle: coincident points give 0, distinct ones 1
+        zeta = np.exp(2j * np.pi * RNG.uniform(0, 1, 64))
+        self.assert_bits(zeta, zeta)
+        self.assert_bits(zeta, zeta[::-1])
+        self.assert_bits(zeta[:, None], zeta[None, :])
+        self.assert_bits(zeta, random_interior(64))
+
+    def test_nan_and_huge_input(self):
+        z = np.array([np.nan, 0.5, np.nan * 1j, 1e200, np.inf, 0.3j])
+        w = np.array([0.5, complex(np.nan, 0.1), 0.2, 0.3, 0.1j, 1e300])
+        self.assert_bits(z, w)
+        self.assert_bits(z[:, None], w[None, :])
+
+    def test_parts_entry_point(self):
+        z, w = random_interior(300), random_interior(300)
+        got = g.rho_parts(z.real.copy(), z.imag.copy(), w.real.copy(), w.imag.copy())
+        assert np.array_equal(got, rho_oracle(z, w))
+
+
 class TestHyperbolic:
     def test_half_log_three(self):
         assert g.hyperbolic(0.0, 0.5) == pytest.approx(0.5 * math.log(3.0), abs=1e-12)
@@ -93,6 +153,23 @@ class TestHyperbolic:
         vals, hits = g.tau_capped(r, cap=50.0)
         assert hits == 2
         assert np.max(vals) == 50.0
+
+    def test_tau_from_rho_matches_the_guarded_expression(self):
+        # arctanh(min(r, 1)) is +inf at r >= 1 and NaN at NaN, as the
+        # expression with an explicit r >= 1 branch was
+        r = np.concatenate([RNG.uniform(0, 1, 2000), [0.0, -0.0, 0.5, 1.0 - 2.0 ** -53,
+                                                       1.0, 1.0 + 2.0 ** -52, 7.0,
+                                                       np.inf, np.nan]])
+        with np.errstate(divide="ignore"):
+            want = np.where(r >= 1.0, np.inf, np.arctanh(np.minimum(r, 1.0 - 1e-17)))
+        assert np.array_equal(g.tau_from_rho(r), want, equal_nan=True)
+        assert g.tau_from_rho(1.0) == math.inf
+
+    def test_cap_hits_per_row(self):
+        r = np.array([[0.1, 1.0, 1.0], [0.5, 0.2, 1.0]])
+        vals, hits = g.tau_capped(r, cap=50.0, power=2.0, axis=1)
+        assert hits.tolist() == [2, 1]
+        assert np.array_equal(vals, g.tau_capped(r, cap=50.0, power=2.0)[0])
 
     def test_dominates_rho_squared_with_sharp_constant(self):
         c = g.min_tau_over_rho_sq()
@@ -160,6 +237,15 @@ class TestArcs:
         angles = np.angle(pts) / (2 * np.pi) % 1.0
         lo, hi = arc.span()
         assert np.all(angles >= float(lo)) and np.all(angles <= float(hi))
+
+    def test_whole_grid_samples_equal_each_arc(self):
+        pts = np.concatenate([[0.0], random_interior(50, radius=0.999), [0.5, -0.25]])
+        rows = g.arc_sample_points(pts, 128)
+        assert rows.shape == (len(pts), 128)
+        for a, row in zip(pts, rows):
+            assert np.array_equal(row, g.arc_of(a).sample_points(128))
+        with pytest.raises(g.GeometryError):
+            g.arc_sample_points([0.5, 1.0], 64)
 
     def test_degenerate_length_rejected(self):
         with pytest.raises(g.GeometryError):
