@@ -7,11 +7,11 @@ roots of p - w q inside the disc, found as the eigenvalues of
 N(psi, w) then sums log(1/|z|) over them with multiplicity.  The boundary-approach statistic
 maximizes |w|^2 N(sigma_phi(a) . phi . sigma_a, w) over a deterministic
 w-grid with local stencil refinement around the argmax, for many points a
-at once.  For degree <= 2 the composites are stacked coefficient rows and
-N has a closed form.  Higher degrees never lower the composite: sigma_a
-and sigma_b are involutions, so its preimages of w are sigma_a(z) for the
-roots z of p - sigma_b(w) q, and the roots of all (point x w) rows come
-from one eigenvalue call on stacked companion matrices.
+at once, and never lowers the composite: sigma_a and sigma_b are
+involutions, so its preimages of w are sigma_a(z) for the roots z of
+p - sigma_b(w) q.  The roots of all (point x w) rows come from the
+quadratic formula when phi has degree <= 2, and otherwise from one
+eigenvalue call on stacked companion matrices.
 """
 
 from __future__ import annotations
@@ -153,8 +153,11 @@ class Preimages:
 #: companion-matrix entries per ``eigvals`` call of ``_polished_roots``
 EIGVALS_BLOCK = 2 ** 20
 
+#: most Newton steps ``_polished_roots`` takes on a row
+POLISH_STEPS = 40
 
-def _polished_roots(coeffs: np.ndarray, steps: int = 40) -> np.ndarray:
+
+def _polished_roots(coeffs: np.ndarray) -> np.ndarray:
     """All roots of equal-degree polynomials, one row of ascending
     coefficients each, the leading one nonzero: ``numpy.roots``'s companion
     matrices stacked into one ``eigvals`` call (per ``EIGVALS_BLOCK``
@@ -172,7 +175,7 @@ def _polished_roots(coeffs: np.ndarray, steps: int = 40) -> np.ndarray:
         z[start:start + block] = np.linalg.eigvals(comp)
     dcoeffs = coeffs[:, 1:] * np.arange(1, e + 1)
     active = np.arange(n)
-    for _ in range(steps):
+    for _ in range(POLISH_STEPS):
         za = z[active]
         # tensor=False evaluates row i's polynomial at row i's roots only
         f = npoly.polyval(za, coeffs[active].T[..., None], tensor=False)
@@ -235,58 +238,32 @@ S1_CHUNK = 64
 #: rounds of the shrinking 9-point stencil that refine the grid argmax
 S1_REFINE_ROUNDS = 3
 
-#: stacked rows whose smallest denominator root lies within this of
-#: RationalForm's closed-disc test are lowered point by point, so that its
-#: own check decides them; the margin covers the ~sqrt(eps) spread that root
-#: finders show on a double pole such as (1 - conj(a) z)^2, on either side
-POLE_MARGIN = 5e-8
-
 
 def _quadratic_roots(c, b, a):
     """Both roots of c + b z + a z^2, elementwise, each from its stable
-    formula; a root lost to a coefficient below 1e-13 is inf."""
+    formula; a root lost to a coefficient below 1e-13 is inf, and where
+    b = c = 0 both roots are 0."""
     tiny = 1e-13
     lead_ok = np.abs(a) > tiny
     disc = np.sqrt(b * b - 4.0 * a * c)
     q = -0.5 * (b + np.where(np.real(np.conj(b) * disc) >= 0, disc, -disc))
     with np.errstate(divide="ignore", invalid="ignore"):
         r1 = np.where(lead_ok, q / np.where(lead_ok, a, 1.0), np.inf)
-        r2 = np.where(np.abs(q) > tiny, c / np.where(np.abs(q) > tiny, q, 1.0), np.inf)
+        r2 = np.where(q != 0, c / np.where(q != 0, q, 1.0), 0.0)
         lin = np.where(np.abs(b) > tiny, -c / np.where(np.abs(b) > tiny, b, 1.0), np.inf)
     return np.where(lead_ok, r1, lin), np.where(lead_ok, r2, np.inf)
 
 
-def _closed_form_counts(num: np.ndarray, den: np.ndarray,
-                        ws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """N(p/q, w) for degree <= 2, one row per rational form.
+@functools.lru_cache(maxsize=1)
+def default_w_grid() -> np.ndarray:
+    """Deterministic grid covering 0 < |w| < 1: 32 angles on each of the
+    radii 2^-k and 1 - 2^-k, k = 1..8.
 
-    ``num`` and ``den`` hold ascending coefficients, one row per form,
-    padded to a common width of at most 3; ``ws`` is an array of w values,
-    either shared by every row or one row of w values per form.  Returns
-    the counts (forms x w) and, per form, whether some root was
-    boundary-ambiguous.
+    Built once and returned read-only, so no caller can change the cached
+    grid.
     """
-    deg = num.shape[1] - 1
-    c = num[:, 0, None] - ws * den[:, 0, None]
-    b = (num[:, 1, None] - ws * den[:, 1, None]) if deg >= 1 else np.zeros_like(c)
-    a = (num[:, 2, None] - ws * den[:, 2, None]) if deg >= 2 else np.zeros_like(c)
-    mods = np.abs(np.stack(_quadratic_roots(c, b, a)))
-    ambiguous = np.any(np.abs(mods - 1.0) <= BOUNDARY_AMBIGUITY, axis=(0, 2))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logs = np.where(mods < 1.0, -np.log(np.where(mods > 0, mods, 1.0)), 0.0)
-    return logs.sum(axis=0), ambiguous
-
-
-@functools.lru_cache(maxsize=8)
-def default_w_grid(radial_depth: int = 8, angles: int = 32) -> np.ndarray:
-    """Deterministic grid covering 0 < |w| < 1: radii 2^-k and 1 - 2^-k.
-
-    Built once per shape and returned read-only, so no caller can change
-    the cached grid.
-    """
-    radii = sorted({2.0 ** -k for k in range(1, radial_depth + 1)}
-                   | {1.0 - 2.0 ** -k for k in range(1, radial_depth + 1)})
-    thetas = 2.0 * math.pi * np.arange(angles) / angles
+    radii = sorted({2.0 ** -k for k in range(1, 9)} | {1.0 - 2.0 ** -k for k in range(1, 9)})
+    thetas = 2.0 * math.pi * np.arange(32) / 32
     grid = np.array([r * complex(math.cos(t), math.sin(t))
                      for r in radii for t in thetas])
     grid.setflags(write=False)
@@ -301,9 +278,10 @@ class S1Value:
 
 
 def _composite_form(phi: sym.Symbol, a: complex) -> RationalForm:
-    """sigma_phi(a) . phi . sigma_a lowered as one symbol tree: the per-point
-    path of degree <= 2, and the errors of sigma_a, sigma_b and the lowering
-    at every degree."""
+    """sigma_phi(a) . phi . sigma_a lowered as one symbol tree.  S1 never
+    counts it: ``_s1_chunk`` builds it only to raise sigma_a's or sigma_b's
+    SymbolError where a or phi(a) leaves the disc, and the tests count its
+    preimages as the reference for ``_pullback_counts``."""
     b = complex(phi.eval(a))
     return to_rational(sym.Compose(sym.Moebius(b), sym.Compose(phi, sym.Moebius(a))))
 
@@ -317,59 +295,6 @@ def _padded(form: RationalForm) -> np.ndarray:
     return rows
 
 
-def _times_linear(rows: np.ndarray, c0: np.ndarray, c1: np.ndarray) -> np.ndarray:
-    """Coefficient rows times (c0 + c1 z), one factor per row."""
-    out = np.zeros((rows.shape[0], rows.shape[1] + 1), dtype=complex)
-    out[:, :-1] = rows * c0[:, None]
-    out[:, 1:] += rows * c1[:, None]
-    return out
-
-
-def _normalized(num: np.ndarray, den: np.ndarray):
-    """RationalForm's scale normalisation row by row (rows of width <= 3),
-    plus the smallest denominator root modulus of each row (inf when the
-    row is constant)."""
-    scale = np.maximum(np.max(np.abs(num), axis=1), np.max(np.abs(den), axis=1))
-    scale = np.where(scale == 0, 1.0, scale)[:, None]
-    num, den = num / scale, den / scale
-    coeffs = np.zeros((3, len(den)), dtype=complex)
-    coeffs[: den.shape[1]] = den.T
-    r1, r2 = _quadratic_roots(*coeffs)
-    return num, den, np.minimum(np.abs(r1), np.abs(r2))
-
-
-def _stacked_composites(lowered: RationalForm, points: np.ndarray, images: np.ndarray):
-    """Coefficient rows of sigma_b . phi . sigma_a for every point a with
-    b = phi(a), phi = p/q of degree d <= 2 lowered once.
-
-    Homogenising with (1 - conj(a) z)^d, as ``_compose_fractions`` does,
-    gives p(sigma_a) -> sum_j p_j (a - z)^j (1 - conj(a) z)^(d - j); the outer
-    sigma_b then maps (P, Q) to (b Q - P, Q - conj(b) P).  Both stages are
-    scale-normalised like RationalForm.  Returns (num, den, ok): rows with
-    ok False fail, or nearly fail, a check of the per-point lowering and
-    must be lowered point by point.
-    """
-    d = lowered.degree
-    p, q = _padded(lowered)
-    ones = np.ones(len(points), dtype=complex)
-    basis = np.empty((len(points), d + 1, d + 1), dtype=complex)
-    for j in range(d + 1):
-        row = ones[:, None]
-        for _ in range(j):
-            row = _times_linear(row, points, -ones)
-        for _ in range(d - j):
-            row = _times_linear(row, ones, -np.conj(points))
-        basis[:, j] = row
-    inner_num, inner_den, inner_root = _normalized(p @ basis, q @ basis)
-    b = images[:, None]
-    num, den, root = _normalized(b * inner_den - inner_num, inner_den - np.conj(b) * inner_num)
-    edge = 1.0 + POLE_CLEARANCE + POLE_MARGIN
-    # the Moebius factors' own poles 1/conj(a), 1/conj(b) must clear the disc too
-    ok = ((np.maximum(np.abs(points), np.abs(images)) * edge < 1.0)
-          & (inner_root > edge) & (root > edge))
-    return num, den, ok
-
-
 def _pullback_counts(lowered: RationalForm, points: np.ndarray, images: np.ndarray,
                      cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """N(sigma_b . phi . sigma_a, w) for each point a (b = phi(a), given in
@@ -377,76 +302,61 @@ def _pullback_counts(lowered: RationalForm, points: np.ndarray, images: np.ndarr
     point's flag, through the preimages of phi = p/q itself.
 
     sigma_a and sigma_b are involutions, so the composite's preimages of w
-    are u = sigma_a(z) for the roots z of p - sigma_b(w) q.  Each row is
-    scaled by its largest coefficient and its top coefficients below 1e-13
-    are dropped, as ``preimages`` does: where sigma_b(w) = phi(infinity)
-    the lost roots sit at infinity and count nothing.  A root counts
-    log(1/|u|) when |u| < 1 and flags its point when ||u| - 1| is within
-    ``BOUNDARY_AMBIGUITY``.
+    are u = sigma_a(z) for the roots z of p - sigma_b(w) q, that is of
+    (1 - conj(b) w) p - (b - w) q.  Each (point x w) row is scaled by its
+    largest coefficient.  Rows of degree <= 2 take their roots from
+    ``_quadratic_roots``, higher degrees from ``_polished_roots``; both lose
+    a root to a top coefficient below 1e-13, as ``preimages`` does: where
+    sigma_b(w) = phi(infinity) it sits at infinity and counts nothing.  A
+    root counts log(1/|u|) when |u| < 1 and flags its point when ||u| - 1|
+    is within ``BOUNDARY_AMBIGUITY``.
     """
     m, k = cand.shape
-    d = lowered.degree
     p, q = _padded(lowered)
     b = images[:, None]
-    targets = (b - cand) / (1.0 - np.conj(b) * cand)
-    rows = (p - targets[..., None] * q).reshape(m * k, d + 1)
-    scale = np.max(np.abs(rows), axis=1, keepdims=True)
-    rows = rows / np.where(scale == 0, 1.0, scale)
-    kept = np.abs(rows) >= 1e-13
-    degree = np.where(kept.any(axis=1), d - np.argmax(kept[:, ::-1], axis=1), 0)
-    a = np.repeat(points, k)
-    mods = np.full((m * k, d), np.inf)
-    for e in np.unique(degree[degree > 0]):
-        sel = degree == e
-        z = _polished_roots(rows[sel, : e + 1])
-        mods[sel, :e] = np.abs((a[sel, None] - z) / (1.0 - np.conj(a[sel, None]) * z))
-    inside = mods < 1.0
-    logs = np.where(inside, -np.log(np.where(inside, mods, 1.0)), 0.0)
-    ambiguous = np.any(np.abs(mods - 1.0) <= BOUNDARY_AMBIGUITY, axis=1)
-    return logs.sum(axis=1).reshape(m, k), ambiguous.reshape(m, k).any(axis=1)
+    u, v = 1.0 - np.conj(b) * cand, b - cand
+    coeffs = [pj * u - qj * v for pj, qj in zip(p, q)]
+    scale = functools.reduce(np.maximum, [np.abs(c) for c in coeffs])
+    scale[scale == 0] = 1.0
+    coeffs = [c / scale for c in coeffs]
+    d = len(coeffs) - 1
+    if d <= 2:
+        z = np.stack(_quadratic_roots(*coeffs, *[0.0] * (2 - d)), axis=-1)[..., :d]
+    else:
+        rows = np.stack(coeffs, axis=-1).reshape(m * k, d + 1)
+        kept = np.abs(rows) >= 1e-13
+        degree = np.where(kept.any(axis=1), d - np.argmax(kept[:, ::-1], axis=1), 0)
+        z = np.full((m * k, d), np.inf, dtype=complex)
+        for e in np.unique(degree[degree > 0]):
+            sel = degree == e
+            z[sel, :e] = _polished_roots(rows[sel, : e + 1])
+        z = z.reshape(m, k, d)
+    a = points[:, None, None]
+    finite = np.isfinite(z)
+    z = np.where(finite, z, 0.0)
+    mods = np.where(finite, np.abs(a - z) / np.abs(1.0 - np.conj(a) * z), np.inf)
+    counts = -np.log(np.where(mods < 1.0, mods, 1.0)).sum(axis=-1)
+    return counts, np.any(np.abs(mods - 1.0) <= BOUNDARY_AMBIGUITY, axis=(1, 2))
 
 
-def _s1_chunk(phi: sym.Symbol, lowered: RationalForm | None,
-              points: np.ndarray) -> list[S1Value]:
+def _s1_chunk(phi: sym.Symbol, lowered: RationalForm, points: np.ndarray) -> list[S1Value]:
     """S1 at each point of one chunk, all points maximised together."""
     ws = default_w_grid()
     m = len(points)
-    if lowered is not None and lowered.degree > 2:
-        images = phi.eval(points)
-        for a in points[~((np.abs(points) < 1.0) & (np.abs(images) < 1.0))]:
-            _composite_form(phi, complex(a))    # raises sigma_a's or sigma_b's SymbolError
-
-        def counts(cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            return _pullback_counts(lowered, points, images, cand)
-    else:
-        batched = np.zeros(m, dtype=bool)
-        if lowered is not None:
-            num, den, batched = _stacked_composites(lowered, points, phi.eval(points))
-            num, den = num[batched], den[batched]
-        forms = {i: _padded(_composite_form(phi, complex(points[i])))[:, None]
-                 for i in np.nonzero(~batched)[0]}
-
-        def counts(cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            """N(psi_i, w) for row i of the candidates, and each row's flag."""
-            vals = np.empty(cand.shape)
-            flags = np.zeros(m, dtype=bool)
-            if np.any(batched):
-                vals[batched], flags[batched] = _closed_form_counts(num, den, cand[batched])
-            for i, (num_i, den_i) in forms.items():
-                values, ambiguous = _closed_form_counts(num_i, den_i, cand[i])
-                vals[i], flags[i] = values[0], ambiguous[0]
-            return vals, flags
+    images = phi.eval(points)
+    for a in points[~((np.abs(points) < 1.0) & (np.abs(images) < 1.0))]:
+        _composite_form(phi, complex(a))        # raises sigma_a's or sigma_b's SymbolError
 
     def weighted_counts(cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """|w|^2 N(psi_i, w) for row i of the candidates, and each row's flag."""
-        vals, flags = counts(cand)
+        vals, flags = _pullback_counts(lowered, points, images, cand)
         return np.abs(cand) ** 2 * vals, flags
 
     rows = np.arange(m)
     vals, flagged = weighted_counts(np.broadcast_to(ws, (m, len(ws))))
     best = np.argmax(vals, axis=1)
     best_w, best_v = ws[best], vals[rows, best]
-    dr = [0.25 * min(abs(w), 1.0 - abs(w)) for w in best_w.tolist()]
+    dr = 0.25 * np.minimum(np.abs(best_w), 1.0 - np.abs(best_w))
     dt = math.pi / 32.0
     for _ in range(S1_REFINE_ROUNDS):
         cand = _stencils(best_w, dr, dt)
@@ -456,24 +366,22 @@ def _s1_chunk(phi: sym.Symbol, lowered: RationalForm | None,
         better = cvals[rows, k] > best_v
         best_v = np.where(better, cvals[rows, k], best_v)
         best_w = np.where(better, cand[rows, k], best_w)
-        dr = [step / 3.0 for step in dr]
+        dr /= 3.0
         dt /= 3.0
     return [S1Value(float(v), complex(w), bool(f))
             for v, w, f in zip(best_v, best_w, flagged)]
 
 
-def _stencils(centers: np.ndarray, dr: list, dt: float) -> np.ndarray:
+def _stencils(centers: np.ndarray, dr: np.ndarray, dt: float) -> np.ndarray:
     """The 9-point polar stencil around each center, radius step dr[i] and
-    angle step dt, one row per center.  Built with Python's scalar abs,
-    atan2, cos and sin: the counting function of a higher-degree composite
-    can move by 1e-10 under a one-ulp shift of w near a critical value."""
-    out = []
-    for w, step in zip(centers.tolist(), dr):
-        r0, t0 = abs(w), math.atan2(w.imag, w.real)
-        out.append([min(max(r0 + i * step, 1e-9), 1.0 - 1e-9)
-                    * complex(math.cos(t0 + j * dt), math.sin(t0 + j * dt))
-                    for i in (-1, 0, 1) for j in (-1, 0, 1)])
-    return np.array(out)
+    angle step dt, one row per center.  numpy's abs, angle, cos and sin may
+    differ from scalar ``math`` calls in the last bit; near a critical value
+    of a higher-degree composite that moves S1 by up to about 1e-10."""
+    steps = np.array([-1.0, 0.0, 1.0])
+    radii = np.clip(np.abs(centers)[:, None] + np.repeat(steps, 3) * dr[:, None],
+                    1e-9, 1.0 - 1e-9)
+    angles = np.angle(centers)[:, None] + np.tile(steps, 3) * dt
+    return radii * (np.cos(angles) + 1j * np.sin(angles))
 
 
 def s1_statistics(phi: sym.Symbol, points) -> list[S1Value]:
@@ -485,19 +393,14 @@ def s1_statistics(phi: sym.Symbol, points) -> list[S1Value]:
     9-point stencil refine the grid argmax; ties break toward smaller
     (|w|, arg w) through the deterministic grid order.
 
-    phi is lowered once and the points are counted ``S1_CHUNK`` at a time
-    over (points x w).  For degree <= 2 the composites are built as stacked
-    coefficient rows and counted in closed form; rows at the edge of a
-    lowering check are lowered point by point.  Higher degrees count the
-    composite's preimages through phi's own (``_pullback_counts``).  A phi
-    that does not lower raises its RationalFormError from every point.
+    phi is lowered once to p/q, and the points are counted ``S1_CHUNK`` at a
+    time over (points x w) through phi's own preimages
+    (``_pullback_counts``); no composite is lowered.  A phi that does not
+    lower raises its RationalFormError, whatever the points.
     """
     sym.certificate(phi)
     points = np.atleast_1d(np.asarray(points, dtype=complex))
-    try:
-        lowered = to_rational(phi)
-    except RationalFormError:
-        lowered = None      # each point's lowering raises it
+    lowered = to_rational(phi)
     out = []
     for start in range(0, len(points), S1_CHUNK):
         out += _s1_chunk(phi, lowered, points[start:start + S1_CHUNK])

@@ -167,12 +167,17 @@ class TestBatchedS1:
         first = sweep.settings.levels()[0][1]
         points = sweep.grid[np.abs(sweep.phi_at_grid) >= first]
         batch = nv.s1_statistics(entry.symbol, points)
-        # an infinite pole margin sends every point through the per-point
-        # lowering of the whole composite tree
-        monkeypatch.setattr(nv, "POLE_MARGIN", math.inf)
-        single = [nv.s1_statistic(entry.symbol, a) for a in points]
-        assert len(batch) == len(single) == len(points)
-        for got, want in zip(batch, single):
+
+        def per_point(lowered, chunk, images, cand):
+            # every count from the preimages of each point's lowered composite
+            rows = [composite_counts(entry.symbol, complex(a), ws) for a, ws in zip(chunk, cand)]
+            return np.array([v for v, _ in rows]).reshape(cand.shape), np.array([f for _, f in rows])
+
+        monkeypatch.setattr(nv, "_pullback_counts", per_point)
+        # every third point keeps the per-point preimage loops affordable
+        single = [nv.s1_statistic(entry.symbol, a) for a in points[::3]]
+        assert len(batch) == len(points)
+        for got, want in zip(batch[::3], single):
             assert abs(got.value - want.value) <= 1e-12
             assert got.flagged == want.flagged
 
@@ -207,9 +212,15 @@ class TestBatchedS1:
 
 FROSTMAN = 1.0 / (2 * math.e)
 
-#: degree 3-6 symbols: inner, touching, composed, and one whose phi(infinity)
-#: = 0.4 * sigma_0.5(infinity) = 0.8 lies in the disc
+#: degree 1-6 symbols: inner, touching, strict, composed, and two whose
+#: phi(infinity) = 0.4 * sigma_0.5(infinity) = 0.8 lies in the disc
 PULLBACK_SYMBOLS = {
+    "square": s.Polynomial((0, 0, 1)),
+    "half-shift": s.Polynomial((0.5, 0.5)),
+    "quad-touch": s.Polynomial((0, 0.5, 0.5)),
+    "moebius-0.5": s.Moebius(0.5),
+    "nested-scale": s.Compose(s.Moebius(0.7), s.Scale(0.9, s.Identity())),
+    "drop-1": s.Scale(0.4, s.Moebius(0.5)),
     "blaschke-3": s.Blaschke(1.0, (0.3, -0.4j, 0.5 + 0.2j)),
     "blaschke-5": s.Blaschke(1j, (0.5, 0.5j, -0.5, -0.5j, 0.3)),
     "touch-4": s.Polynomial((0, 0.25, 0.25, 0.25, 0.25)),
@@ -241,7 +252,7 @@ class TestPullbackS1:
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.tuples(st.floats(0.0, 0.8), st.floats(0.0, 2 * math.pi)),
-                    min_size=3, max_size=6),
+                    min_size=1, max_size=6),
            st.floats(0.0, 2 * math.pi), st.sampled_from([0.0, 0.5, 0.9, 1 - 2.0 ** -8,
                                                          1 - 2.0 ** -13]),
            st.floats(0.0, 2 * math.pi))
@@ -251,7 +262,7 @@ class TestPullbackS1:
         assert value == pytest.approx(FROSTMAN, abs=1e-4)
 
     @settings(max_examples=25, deadline=None)
-    @given(st.lists(st.floats(0.0, 1.0), min_size=3, max_size=6), st.floats(0.05, 1.0),
+    @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6), st.floats(0.05, 1.0),
            st.sampled_from([0.5, 0.9, 1 - 2.0 ** -8, 1 - 2.0 ** -13]),
            st.floats(-0.5, 0.5))
     def test_touching_polynomials_obey_littlewood(self, weights, top, radius, angle):
@@ -273,18 +284,34 @@ class TestPullbackS1:
             assert np.max(np.abs(counts[i] - values)) <= 1e-9
             assert flags[i] == flagged
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_degree_drop_at_phi_of_infinity(self):
-        phi = PULLBACK_SYMBOLS["drop-3"]
-        lowered = nv.to_rational(phi)
-        assert lowered.degree == 3
-        assert lowered.num[-1] / lowered.den[-1] == pytest.approx(0.8, abs=1e-14)
-        for a in (0.0, 0.3 + 0.2j, -0.5j):
-            b = complex(phi.eval(a))
-            w = (b - 0.8) / (1 - np.conj(b) * 0.8)     # sigma_b(w) = phi(infinity)
-            counts, _ = nv._pullback_counts(lowered, np.array([a]), np.array([b]),
-                                            np.array([[w]]))
-            values, _ = composite_counts(phi, a, [w])
-            assert abs(counts[0, 0] - values[0]) <= 1e-9
+        # the lost root sits at infinity and counts nothing, without a NaN
+        for name, degree in (("drop-1", 1), ("drop-3", 3)):
+            phi = PULLBACK_SYMBOLS[name]
+            lowered = nv.to_rational(phi)
+            assert lowered.degree == degree
+            assert lowered.num[-1] / lowered.den[-1] == pytest.approx(0.8, abs=1e-14)
+            for a in (0.0, 0.3 + 0.2j, -0.5j):
+                b = complex(phi.eval(a))
+                w = (b - 0.8) / (1 - np.conj(b) * 0.8)     # sigma_b(w) = phi(infinity)
+                counts, _ = nv._pullback_counts(lowered, np.array([a]), np.array([b]),
+                                                np.array([[w]]))
+                values, _ = composite_counts(phi, a, [w])
+                assert abs(counts[0, 0] - values[0]) <= 1e-9
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_square_at_the_origin_raises_no_warning(self):
+        assert nv.s1_statistic(PULLBACK_SYMBOLS["square"], 0.0).value == pytest.approx(
+            FROSTMAN, abs=1e-4)
+
+    def test_double_root_at_the_origin_counts_twice(self):
+        # w = phi(a) = 1/4 on the w-grid: p - sigma_b(w) q = z^2 has the
+        # double root 0, the preimage sigma_a(0) = a = 1/2 counted twice
+        phi = PULLBACK_SYMBOLS["square"]
+        counts, _ = nv._pullback_counts(nv.to_rational(phi), np.array([0.5 + 0j]),
+                                        np.array([0.25 + 0j]), np.array([[0.25 + 0j]]))
+        assert counts[0, 0] == pytest.approx(2 * math.log(2), abs=1e-14)
 
     @pytest.mark.parametrize("name", ["blaschke-5", "moebius-touch-6"])
     def test_chunk_equals_point_by_point(self, name):
@@ -296,5 +323,6 @@ class TestPullbackS1:
         phi = PULLBACK_SYMBOLS["blaschke-3"]
         with pytest.raises(s.SymbolError):
             nv.s1_statistics(phi, [0.5, 1.0])
-        with pytest.raises(nv.RationalFormError):
-            nv.s1_statistics(s.power(s.Identity(), nv.DEGREE_CAP + 1), [0.5])
+        for points in ([0.5], []):
+            with pytest.raises(nv.RationalFormError):
+                nv.s1_statistics(s.power(s.Identity(), nv.DEGREE_CAP + 1), points)
