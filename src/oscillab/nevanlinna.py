@@ -277,15 +277,6 @@ class S1Value:
     flagged: bool           # some root was boundary-ambiguous
 
 
-def _composite_form(phi: sym.Symbol, a: complex) -> RationalForm:
-    """sigma_phi(a) . phi . sigma_a lowered as one symbol tree.  S1 never
-    counts it: ``_s1_chunk`` builds it only to raise sigma_a's or sigma_b's
-    SymbolError where a or phi(a) leaves the disc, and the tests count its
-    preimages as the reference for ``_pullback_counts``."""
-    b = complex(phi.eval(a))
-    return to_rational(sym.Compose(sym.Moebius(b), sym.Compose(phi, sym.Moebius(a))))
-
-
 def _padded(form: RationalForm) -> np.ndarray:
     """p and q of a rational form as two coefficient rows of width
     degree + 1."""
@@ -344,8 +335,10 @@ def _s1_chunk(phi: sym.Symbol, lowered: RationalForm, points: np.ndarray) -> lis
     ws = default_w_grid()
     m = len(points)
     images = phi.eval(points)
-    for a in points[~((np.abs(points) < 1.0) & (np.abs(images) < 1.0))]:
-        _composite_form(phi, complex(a))        # raises sigma_a's or sigma_b's SymbolError
+    outside = ~((np.abs(points) < 1.0) & (np.abs(images) < 1.0))
+    for a, b in zip(points[outside], images[outside]):
+        sym.Moebius(complex(b))             # raises sigma_b's or sigma_a's SymbolError
+        sym.Moebius(complex(a))
 
     def weighted_counts(cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """|w|^2 N(psi_i, w) for row i of the candidates, and each row's flag."""

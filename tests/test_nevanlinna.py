@@ -174,10 +174,9 @@ class TestBatchedS1:
             return np.array([v for v, _ in rows]).reshape(cand.shape), np.array([f for _, f in rows])
 
         monkeypatch.setattr(nv, "_pullback_counts", per_point)
-        # every third point keeps the per-point preimage loops affordable
-        single = [nv.s1_statistic(entry.symbol, a) for a in points[::3]]
+        single = [nv.s1_statistic(entry.symbol, a) for a in points]
         assert len(batch) == len(points)
-        for got, want in zip(batch[::3], single):
+        for got, want in zip(batch, single):
             assert abs(got.value - want.value) <= 1e-12
             assert got.flagged == want.flagged
 
@@ -230,12 +229,33 @@ PULLBACK_SYMBOLS = {
 }
 
 
+def composite_form(phi, a):
+    """sigma_phi(a) . phi . sigma_a lowered as one symbol tree."""
+    b = complex(phi.eval(a))
+    return nv.to_rational(s.Compose(s.Moebius(b), s.Compose(phi, s.Moebius(a))))
+
+
 def composite_counts(phi, a, ws):
-    """N and the boundary flag through the per-point lowering of the composite."""
-    psi = nv._composite_form(phi, a)
-    pres = [nv.preimages(psi, complex(w)) for w in ws]
-    values = [sum(-math.log(abs(z)) for z in p.roots) for p in pres]
-    return np.array(values), any(p.boundary_ambiguous for p in pres)
+    """N and the boundary flag through the per-point lowering of the
+    composite: the rows p - w q of ``preimages``, each scaled by its largest
+    coefficient and cut below its last coefficient of at least 1e-13, with
+    the rows of each degree solved by one ``_polished_roots`` call."""
+    psi = composite_form(phi, a)
+    p = np.zeros(psi.degree + 1, dtype=complex)
+    q = np.zeros(psi.degree + 1, dtype=complex)
+    p[: len(psi.num)], q[: len(psi.den)] = psi.num, psi.den
+    rows = p - np.asarray(ws, dtype=complex)[:, None] * q
+    rows /= np.max(np.abs(rows), axis=1, keepdims=True)
+    kept = np.abs(rows) >= 1e-13
+    degree = len(p) - 1 - np.argmax(kept[:, ::-1], axis=1)
+    values = np.zeros(len(rows))
+    flagged = False
+    for e in np.unique(degree[degree > 0]):
+        sel = degree == e
+        mods = np.abs(nv._polished_roots(rows[sel, : e + 1]))
+        values[sel] = -np.log(np.where(mods < 1.0, mods, 1.0)).sum(axis=1)
+        flagged |= bool(np.any(np.abs(mods - 1.0) <= nv.BOUNDARY_AMBIGUITY))
+    return values, flagged
 
 
 def unit(angle):
@@ -283,6 +303,17 @@ class TestPullbackS1:
             values, flagged = composite_counts(phi, complex(a), ws)
             assert np.max(np.abs(counts[i] - values)) <= 1e-9
             assert flags[i] == flagged
+
+    @pytest.mark.parametrize("name", sorted(PULLBACK_SYMBOLS))
+    def test_reference_counts_match_preimages(self, name):
+        phi = PULLBACK_SYMBOLS[name]
+        ws = nv.default_w_grid()[::8]
+        for a in (0.4 - 0.3j, -0.6 + 0.1j):
+            pres = [nv.preimages(composite_form(phi, a), complex(w)) for w in ws]
+            values, flagged = composite_counts(phi, a, ws)
+            want = [sum(-math.log(abs(z)) for z in pre.roots) for pre in pres]
+            assert np.max(np.abs(values - want)) <= 1e-13
+            assert flagged == any(pre.boundary_ambiguous for pre in pres)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_degree_drop_at_phi_of_infinity(self):
