@@ -25,9 +25,11 @@ import numpy as np
 from . import criteria as cr
 from . import dyadic
 from . import leibov
+from . import nevanlinna as nev
 from . import sweep as sweep_mod
+from . import symbols as sym
 from .gallery import DEFAULT_KINDS, EXTRA_KINDS, GALLERY, run_gallery
-from .hardy import QuadratureError
+from .hardy import QuadratureError, garsia_gamma
 from .sweep import ConfigError, SweepConfig
 
 EXIT_OK = 0
@@ -216,14 +218,11 @@ def _cmd_identities(args) -> int:
     for _ in range(100):
         b = 0.95 * math.sqrt(rng.uniform()) * np.exp(2j * math.pi * rng.uniform())
         a = 0.95 * math.sqrt(rng.uniform()) * np.exp(2j * math.pi * rng.uniform())
-        from .hardy import garsia_gamma
         got = garsia_gamma(leibov.test_function(complex(b)), complex(a))
         gamma_dev = max(gamma_dev, abs(got - leibov.gamma_closed_form(b, a)))
     print(f"gamma closed-form max deviation: {gamma_dev:.3e}")
     if gamma_dev > args.tol:
         failures += 1
-    from . import nevanlinna as nev
-    from . import symbols as sym
     count_dev = 0.0
     for n in range(1, 9):
         psi = nev.to_rational(sym.power(sym.Identity(), n))

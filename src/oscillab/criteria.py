@@ -3,7 +3,8 @@
 The normalized composite sigma_phi(a) . phi . sigma_a is the common thread:
 its H^2 norm (the boundary-approach statistic) is computed both from direct
 samples and through the Poisson-weighted pseudo-hyperbolic integral, with
-grid doubling until the two routes agree.  Around it sit the arc-average
+the grid doubled in the one refinement loop ``symbols.refine`` until the two
+routes agree (``hardy.agreed_routes``).  Around it sit the arc-average
 reformulations (single and double, pseudo-hyperbolic or capped-hyperbolic
 metric), the power statistic |phi^n|_*, the shifted-seminorm statistic
 |sigma_b . phi|_*, the level-set measure statistic, and the counting
@@ -105,27 +106,21 @@ def _composite_routes(phi: sym.Symbol, a: complex, b: complex,
     return direct, poisson
 
 
-def l_statistic(phi: sym.Symbol, a: complex, base_n: int = 4096,
-                tol: float = hardy.GAMMA_TOL, max_n: int = hardy.MAX_GRID) -> float:
+def l_statistic(phi: sym.Symbol, a: complex, base_n: int = 4096) -> float:
     """||sigma_phi(a) . phi . sigma_a||_{H^2} by the rho^2-Poisson route.
 
     The direct-sample route runs alongside as the error indicator; the grid
-    doubles until both square roots agree within ``tol``.
+    doubles until both square roots agree within ``hardy.GAMMA_TOL``.
     """
     sym.certificate(phi)
     a = complex(a)
     b = complex(phi.eval(a))
-    size = hardy.grid_size_for(a, base_n)
-    while True:
+
+    def routes(size):
         direct2, poisson2 = _composite_routes(phi, a, b, size)
-        direct, poisson = math.sqrt(direct2), math.sqrt(max(poisson2, 0.0))
-        if abs(direct - poisson) <= tol:
-            return poisson
-        if size >= max_n:
-            raise hardy.QuadratureError(
-                f"l-statistic routes disagree by {abs(direct - poisson):.3e} at n = {size}, "
-                f"a = {a!r}", direct=direct, poisson=poisson, n=size, point=a)
-        size *= 2
+        return math.sqrt(direct2), math.sqrt(max(poisson2, 0.0))
+
+    return hardy.agreed_routes("l-statistic", routes, a, base_n)[1]
 
 
 @dataclass(frozen=True)
@@ -143,12 +138,10 @@ class NormRoutes:
         return max(vals) - min(vals)
 
 
-def composite_norm_routes(phi: sym.Symbol, a: complex, base_n: int = 4096,
-                          max_n: int = hardy.MAX_GRID,
-                          max_taylor_n: int = 2 ** 22) -> NormRoutes:
+def composite_norm_routes(phi: sym.Symbol, a: complex, base_n: int = 4096) -> NormRoutes:
     """Direct-sample, Poisson-integral and Taylor-coefficient routes to the
     squared H^2 norm of the normalized composite, each refined until its
-    own stability indicator settles.
+    own stability indicator settles or its grid cap is reached.
 
     The Taylor route keeps the coefficient order at a quarter of its FFT
     grid, so it never degenerates into the direct route's Parseval sum.
@@ -156,31 +149,18 @@ def composite_norm_routes(phi: sym.Symbol, a: complex, base_n: int = 4096,
     sym.certificate(phi)
     a = complex(a)
     b = complex(phi.eval(a))
+    (direct, poisson), size, _ = sym.refine(
+        lambda n: _composite_routes(phi, a, b, n), hardy.grid_size_for(a, base_n),
+        hardy.MAX_GRID,
+        lambda prev, cur: (prev is not None and abs(cur[0] - prev[0]) < 1e-10
+                           and abs(cur[1] - prev[1]) < 1e-10))
 
-    size = hardy.grid_size_for(a, base_n)
-    prev_d = prev_p = None
-    while True:
-        direct, poisson = _composite_routes(phi, a, b, size)
-        if (prev_d is not None and abs(direct - prev_d) < 1e-10
-                and abs(poisson - prev_p) < 1e-10):
-            break
-        if size >= max_n:
-            break
-        prev_d, prev_p = direct, poisson
-        size *= 2
+    def taylor_route(n):
+        coeffs = np.fft.fft(_composite_values(phi, a, b, sym.roots_of_unity(n))) / n
+        return float(np.sum(np.abs(coeffs[: n // 4]) ** 2))
 
-    tn = max(4096, base_n)
-    prev_sum = None
-    taylor = 0.0
-    while True:
-        coeffs = np.fft.fft(_composite_values(phi, a, b, sym.roots_of_unity(tn))) / tn
-        taylor = float(np.sum(np.abs(coeffs[: tn // 4]) ** 2))
-        if prev_sum is not None and abs(taylor - prev_sum) < 1e-10:
-            break
-        if tn >= max_taylor_n:
-            break
-        prev_sum = taylor
-        tn *= 2
+    taylor, tn, _ = sym.refine(taylor_route, max(4096, base_n), 2 ** 22,
+                               lambda prev, cur: prev is not None and abs(cur - prev) < 1e-10)
     return NormRoutes(direct, poisson, taylor, size, tn)
 
 
@@ -425,7 +405,7 @@ class CriterionSweep:
         no cap hits."""
         s = self.settings
         a = self.grid[idx[int(np.argmax(lv[idx]))]]
-        value = l_statistic(self.phi, complex(a), s.base_n, hardy.GAMMA_TOL)
+        value = l_statistic(self.phi, complex(a), s.base_n)
         return (max(value, float(np.max(lv[idx])) - hardy.GAMMA_TOL),
                 int(hardy.grid_size_for(a, s.base_n)), 0)
 

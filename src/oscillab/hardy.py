@@ -7,8 +7,9 @@ of unity.  The central quantity is the oscillation
 
 computed two independent ways: directly from samples of f . sigma_a, and
 after the change of variable as the Poisson-weighted mean of |f - f(a)|^2.
-The dual-route residual is used as a free error indicator: grids double
-until the two routes agree.  Suprema of gamma over finite point grids give
+The dual-route residual is used as a free error indicator: grids double in
+the one refinement loop ``symbols.refine`` until the two routes agree
+(``agreed_routes``).  Suprema of gamma over finite point grids give
 certified *lower* bounds for the BMOA seminorm; no finite grid can certify
 the supremum from above, and estimates are flagged accordingly.
 """
@@ -94,71 +95,66 @@ def grid_size_for(a: complex, base: int) -> int:
     return min(n, MAX_GRID)
 
 
-def h2_norm(f, n: int | None = None) -> float:
+def _h2_settled(prev, cur) -> bool:
+    return prev is not None and abs(cur - prev) <= 1e-12 * (1.0 + cur)
+
+
+def h2_norm(f) -> float:
     """Hardy-space norm from boundary samples.
 
     Accepts a BoundaryGrid, a Symbol, or any boundary function; for the
-    latter two the grid doubles until the value stabilizes.
+    latter two the grid doubles from 4096 until the value stabilizes.
     """
     if isinstance(f, sym.BoundaryGrid):
         if f.n < 64:
             raise ValueError("grid too coarse for an H^2 norm")
         return float(np.sqrt(np.mean(np.abs(f.values) ** 2)))
-    size = n or 4096
-    prev = None
-    while True:
-        val = float(np.sqrt(np.mean(np.abs(sample_boundary(f, size)) ** 2)))
-        if prev is not None and abs(val - prev) <= 1e-12 * (1.0 + val):
-            return val
-        prev = val
-        if size >= 2 ** 18:
-            return val
-        size *= 2
+    return sym.refine(lambda n: float(np.sqrt(np.mean(np.abs(sample_boundary(f, n)) ** 2))),
+                      4096, 2 ** 18, _h2_settled)[0]
 
 
-def h2_norm_coefficients(phi: sym.Symbol, m: int = 255) -> float:
+def h2_norm_coefficients(phi: sym.Symbol) -> float:
     """Coefficient route sqrt(sum |c_k|^2); doubles the order until stable."""
-    order = m
-    prev = None
-    while True:
-        coeffs = sym.taylor(phi, order)
-        val = float(np.sqrt(np.sum(np.abs(coeffs) ** 2)))
-        if prev is not None and abs(val - prev) <= 1e-12 * (1.0 + val):
-            return val
-        prev = val
-        if order >= 2 ** 17:
-            return val
-        order *= 2
+    return sym.refine(lambda m: float(np.sqrt(np.sum(np.abs(sym.taylor(phi, m)) ** 2))),
+                      255, 2 ** 17, _h2_settled)[0]
 
 
-def garsia_gamma(f, a: complex, n: int = 4096, tol: float = GAMMA_TOL,
-                 max_n: int = MAX_GRID) -> float:
+def agreed_routes(what: str, evaluate, a: complex, base_n: int) -> tuple[float, float]:
+    """``evaluate(n)`` = (direct, poisson) on the first grid from
+    ``grid_size_for(a, base_n)`` on where the two agree within GAMMA_TOL;
+    disagreement at MAX_GRID raises QuadratureError naming ``what`` and a."""
+    (direct, poisson), n, agreed = sym.refine(
+        evaluate, grid_size_for(a, base_n), MAX_GRID,
+        lambda prev, cur: abs(cur[0] - cur[1]) <= GAMMA_TOL)
+    if not agreed:
+        raise QuadratureError(
+            f"{what} routes disagree by {abs(direct - poisson):.3e} at n = {n}, "
+            f"a = {a!r}", direct=direct, poisson=poisson, n=n, point=a)
+    return direct, poisson
+
+
+def garsia_gamma(f, a: complex, n: int = 4096) -> float:
     """gamma(f, a) with the dual-route agreement guarantee.
 
     Route one samples f . sigma_a directly; route two integrates
     |f - f(a)|^2 against the Poisson kernel.  Grids double until the two
-    square roots agree within ``tol``; disagreement at the cap raises
-    QuadratureError carrying both values.
+    square roots agree within GAMMA_TOL; disagreement at the cap raises
+    QuadratureError carrying both values (``agreed_routes``).
     """
     a = complex(a)
     if abs(a) > 0.9999:
         raise ValueError(f"gamma is evaluated for |a| <= 0.9999, got {abs(a)}")
     fa = complex(f.eval(a))
-    size = grid_size_for(a, n)
-    while True:
+
+    def routes(size):
         zeta = sym.roots_of_unity(size)
         moved = f.eval(moebius(a, zeta))
         direct = math.sqrt(float(np.mean(np.abs(moved - fa) ** 2)))
         fv = sample_boundary(f, size)
         weighted = float(np.mean(np.abs(fv - fa) ** 2 * poisson_kernel(a, zeta)))
-        poisson = math.sqrt(max(weighted, 0.0))
-        if abs(direct - poisson) <= tol:
-            return direct
-        if size >= max_n:
-            raise QuadratureError(
-                f"gamma routes disagree by {abs(direct - poisson):.3e} at n = {size}, "
-                f"a = {a!r}", direct=direct, poisson=poisson, n=size, point=a)
-        size *= 2
+        return direct, math.sqrt(max(weighted, 0.0))
+
+    return agreed_routes("gamma", routes, a, n)[0]
 
 
 def ring_grid(radii: Sequence[float], angles: int) -> np.ndarray:

@@ -266,6 +266,22 @@ def roots_of_unity(n: int) -> np.ndarray:
     return np.exp(2j * math.pi * np.arange(n) / n)
 
 
+def refine(evaluate, n: int, max_n: int, settled) -> tuple:
+    """The package's one grid-refinement loop: ``evaluate`` on the grids n,
+    2n, 4n, ... until ``settled(prev, cur)`` holds (``prev`` is the previous
+    grid's value, None on the first) or the grid reaches ``max_n``.  Returns
+    (value, n, settled) of the last grid evaluated."""
+    prev = None
+    while True:
+        cur = evaluate(n)
+        if settled(prev, cur):
+            return cur, n, True
+        if n >= max_n:
+            return cur, n, False
+        prev = cur
+        n *= 2
+
+
 @functools.lru_cache(maxsize=64)
 def _cached_values(phi: Symbol, n: int) -> np.ndarray:
     values = np.asarray(phi.eval(roots_of_unity(n)), dtype=complex)
@@ -312,15 +328,10 @@ def taylor(phi: Symbol, m: int, n: int | None = None) -> np.ndarray:
     size = 256
     while size < 4 * (m + 1):
         size *= 2
-    prev = None
-    while True:
-        cur = np.fft.fft(boundary_samples(phi, size).values)[: m + 1] / size
-        if prev is not None and np.max(np.abs(cur - prev)) < 1e-13 * max(1.0, float(np.max(np.abs(cur)))):
-            return cur
-        prev = cur
-        if size >= 2 ** 20:
-            return cur
-        size *= 2
+    return refine(
+        lambda k: np.fft.fft(boundary_samples(phi, k).values)[: m + 1] / k, size, 2 ** 20,
+        lambda prev, cur: prev is not None and np.max(np.abs(cur - prev))
+        < 1e-13 * max(1.0, float(np.max(np.abs(cur)))))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from oscillab import criteria as cr
+from oscillab import gallery
 from oscillab import hardy
 from oscillab import nevanlinna as nev
 from oscillab import symbols as s
@@ -47,6 +48,17 @@ class TestLStatistic:
             for a in (0.3, 0.9j, -0.7 + 0.2j):
                 routes = cr.composite_norm_routes(phi, a)
                 assert routes.spread() < 1e-10
+
+    @pytest.mark.parametrize("name, a, grids", [
+        ("square", 1 - 2.0 ** -9, (32768, 4194304)),     # Taylor route at its cap
+        ("half-shift", 0.9, (8192, 8192)),
+        ("nested-scale", 0.97, (8192, 8192)),
+    ])
+    def test_route_stop_grids(self, name, a, grids):
+        # the stop grids of both refinements; an off-by-one doubling or a
+        # reordered stop rule moves them
+        routes = cr.composite_norm_routes(gallery.entry_by_name(name).symbol, a)
+        assert (routes.grid_n, routes.taylor_n) == grids
 
 
 class TestArcStatistics:

@@ -96,12 +96,14 @@ class TestGarsiaGamma:
 
 
 class TestQuadratureError:
-    def test_errors_carry_their_witness_point(self):
+    def test_errors_carry_their_witness_point(self, monkeypatch):
         from oscillab import criteria as cr
+        monkeypatch.setattr(h, "GAMMA_TOL", 1e-30)
+        monkeypatch.setattr(h, "MAX_GRID", 64)
         phi = s.Polynomial((0, 0.5, 0.5))
         a = 1 - 2.0 ** -12
-        for compute in (lambda: cr.l_statistic(phi, a, 64, tol=1e-30, max_n=64),
-                        lambda: h.garsia_gamma(phi, a, 64, tol=1e-30, max_n=64)):
+        for compute in (lambda: cr.l_statistic(phi, a, 64),
+                        lambda: h.garsia_gamma(phi, a, 64)):
             with pytest.raises(h.QuadratureError) as info:
                 compute()
             assert info.value.point == a and repr(a) in str(info.value)

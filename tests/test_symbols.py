@@ -105,6 +105,49 @@ class TestTaylor:
             assert abs(lhs - rhs) < 1e-10
 
 
+class TestRefine:
+    @staticmethod
+    def run(settled, n=64, max_n=1024, value=lambda k: float(k)):
+        grids = []
+
+        def evaluate(k):
+            grids.append(k)
+            return value(k)
+
+        return s.refine(evaluate, n, max_n, settled), grids
+
+    def test_agreement_on_first_grid_evaluates_once(self):
+        result, grids = self.run(lambda prev, cur: True)
+        assert result == (64.0, 64, True) and grids == [64]
+
+    def test_stability_needs_two_grids(self):
+        result, grids = self.run(lambda prev, cur: prev is not None, value=lambda k: 1.0)
+        assert result == (1.0, 128, True) and grids == [64, 128]
+
+    def test_grids_double_and_prev_is_the_previous_value(self):
+        seen = []
+
+        def settled(prev, cur):
+            seen.append((prev, cur))
+            return cur >= 512
+
+        result, grids = self.run(settled)
+        assert grids == [64, 128, 256, 512] and result == (512.0, 512, True)
+        assert seen == [(None, 64.0), (64.0, 128.0), (128.0, 256.0), (256.0, 512.0)]
+
+    def test_cap_returns_last_value_unsettled(self):
+        result, grids = self.run(lambda prev, cur: False)
+        assert result == (1024.0, 1024, False) and grids == [64, 128, 256, 512, 1024]
+
+    def test_settled_is_checked_before_the_cap(self):
+        result, grids = self.run(lambda prev, cur: cur >= 1024)
+        assert result == (1024.0, 1024, True) and grids == [64, 128, 256, 512, 1024]
+
+    def test_start_beyond_cap_evaluates_once(self):
+        result, grids = self.run(lambda prev, cur: False, n=131072, max_n=64)
+        assert result == (131072.0, 131072, False) and grids == [131072]
+
+
 class TestCompose:
     def test_identity_neutral(self):
         psi = s.Polynomial((0, 0.4, 0.4))
