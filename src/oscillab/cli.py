@@ -203,15 +203,14 @@ def _cmd_identities(args) -> int:
     failures = 0
     print(f"{'entry':<14} {'max route spread':<18} {'worst point'}")
     for entry in GALLERY:
-        worst, worst_a = -1.0, complex(points[0])
+        worst, worst_a, settled = -1.0, complex(points[0]), True
         for a in points:
             routes = cr.composite_norm_routes(entry.symbol, complex(a), args.n)
             if routes.spread() > worst:
-                worst, worst_a = routes.spread(), complex(a)
-        flag = ""
-        if worst > args.tol:
+                worst, worst_a, settled = routes.spread(), complex(a), routes.settled
+        flag = ("  FAIL" if worst > args.tol else "") + ("" if settled else " UNSETTLED")
+        if flag:
             failures += 1
-            flag = "  FAIL"
         print(f"{entry.name:<14} {worst:<18.3e} {worst_a}{flag}")
     # closed-form anchors
     gamma_dev = 0.0

@@ -4,11 +4,12 @@ The normalized composite sigma_phi(a) . phi . sigma_a is the common thread:
 its H^2 norm (the boundary-approach statistic) is computed both from direct
 samples and through the Poisson-weighted pseudo-hyperbolic integral, with
 the grid doubled in the one refinement loop ``symbols.refine`` until the two
-routes agree (``hardy.agreed_routes``).  Around it sit the arc-average
-reformulations (single and double, pseudo-hyperbolic or capped-hyperbolic
-metric), the power statistic |phi^n|_*, the shifted-seminorm statistic
-|sigma_b . phi|_*, the level-set measure statistic, and the counting
-statistic from :mod:`oscillab.nevanlinna`.
+routes agree (``hardy.agreed_routes``); ``composite_norm_routes`` checks both
+against the sum of its squared Taylor coefficients in closed form.  Around
+it sit the arc-average reformulations (single and double, pseudo-hyperbolic
+or capped-hyperbolic metric), the power statistic |phi^n|_*, the
+shifted-seminorm statistic |sigma_b . phi|_*, the level-set measure
+statistic, and the counting statistic from :mod:`oscillab.nevanlinna`.
 
 Profiles sweep each statistic along its boundary-approach ladder.  Level
 sets that are empty because the symbol's modulus never reaches the level
@@ -125,43 +126,88 @@ def l_statistic(phi: sym.Symbol, a: complex, base_n: int = 4096) -> float:
 
 @dataclass(frozen=True)
 class NormRoutes:
-    """The squared composite norm by three independent routes."""
+    """The squared composite norm by three independent routes.
+
+    ``settled`` is false when the direct/Poisson grid stopped at its cap
+    unsettled or the coefficient sum ran out of squarings."""
 
     direct: float
     poisson: float
     taylor: float
     grid_n: int
-    taylor_n: int
+    settled: bool
 
     def spread(self) -> float:
         vals = (self.direct, self.poisson, self.taylor)
         return max(vals) - min(vals)
 
 
-def composite_norm_routes(phi: sym.Symbol, a: complex, base_n: int = 4096) -> NormRoutes:
-    """Direct-sample, Poisson-integral and Taylor-coefficient routes to the
-    squared H^2 norm of the normalized composite, each refined until its
-    own stability indicator settles or its grid cap is reached.
+#: squarings of the Taylor route's doubling; 64 cover 2^64 coefficients
+TAYLOR_SQUARINGS = 64
 
-    The Taylor route keeps the coefficient order at a quarter of its FFT
-    grid, so it never degenerates into the direct route's Parseval sum.
+
+def _taylor_route(lowered: nev.RationalForm, a: complex, b: complex) -> tuple[float, bool]:
+    """sum_k |c_k|^2 over the Taylor coefficients c_k of sigma_b . phi . sigma_a
+    in closed form, with whether the doubling settled.
+
+    h = sigma_b . phi = P/Q (Q(0) = 1) has h_k = e1' A^(k-1) v0 for k >= 1,
+    A the companion matrix of Q.  The Moebius change w = sigma_a(z) maps A
+    to F = (I - aA)^-1 (conj(a) I - A), whose eigenvalues (1 - conj(a) z_j) /
+    (a - z_j) lie in the disc for the poles z_j of h, so c_k = e1' F^(k-1) w
+    and the tail is the [0, 0] entry of sum_j F^j w w* F^j*, summed by
+    squared doubling: every added term is positive semidefinite.  Repeated
+    poles, a pole sent to infinity (inner phi) and b = 0 need no special case.
+
+    The error grows like (1 - |a|)^-2.  On inner symbols (Blaschke products
+    of degree 1 to 5, 34 phases per radius) it is at most 1.4e-10 at
+    1 - 2^-10, 2.8e-9 at 1 - 2^-12, 2.5e-8 at 1 - 2^-14 and 1.3e-4 at
+    1 - 2^-20: the route serves |a| <= 1 - 2^-10, not deep L ladders.
+    """
+    p, q = nev._padded(lowered)
+    num, den = b * q - p, q - np.conj(b) * p
+    num, den = num / den[0], den / den[0]
+    h0, d = num[0], len(den) - 1
+    if d == 0:
+        return float(abs(h0) ** 2), True
+    A = np.eye(d, k=1, dtype=complex)
+    A[:, 0] = -den[1:]
+    E = np.eye(d) - a * A
+    F = np.linalg.solve(E, np.conj(a) * np.eye(d) - A)
+    v = np.linalg.solve(E, num[1:] - den[1:] * h0)
+    w = a * (F @ v) - v
+    S, M = np.outer(w, np.conj(w)), F
+    settled = False
+    for _ in range(TAYLOR_SQUARINGS):
+        step = M @ S @ M.conj().T
+        S += step
+        M = M @ M
+        if abs(step[0, 0]) <= 1e-18 * abs(S[0, 0]) and np.max(np.abs(M)) < 1e-9:
+            settled = True
+            break
+    return float(abs(h0 + a * v[0]) ** 2 + S[0, 0].real), settled
+
+
+def composite_norm_routes(phi: sym.Symbol, a: complex, base_n: int = 4096) -> NormRoutes:
+    """Three independent routes to the squared H^2 norm of the normalized
+    composite sigma_b . phi . sigma_a, b = phi(a): the mean of |.|^2 over
+    direct boundary samples, the rho^2-Poisson integral of phi's own
+    boundary values (these two refined on one grid until each settles or
+    the grid reaches ``hardy.MAX_GRID``), and the sum of the squared Taylor
+    coefficients in closed form from phi's rational form (``_taylor_route``,
+    no grid), good to 1e-9 for |a| <= 1 - 2^-10.  A phi that does not lower
+    raises its RationalFormError.
     """
     sym.certificate(phi)
+    lowered = nev.to_rational(phi)
     a = complex(a)
     b = complex(phi.eval(a))
-    (direct, poisson), size, _ = sym.refine(
+    (direct, poisson), size, grid_settled = sym.refine(
         lambda n: _composite_routes(phi, a, b, n), hardy.grid_size_for(a, base_n),
         hardy.MAX_GRID,
         lambda prev, cur: (prev is not None and abs(cur[0] - prev[0]) < 1e-10
                            and abs(cur[1] - prev[1]) < 1e-10))
-
-    def taylor_route(n):
-        coeffs = np.fft.fft(_composite_values(phi, a, b, sym.roots_of_unity(n))) / n
-        return float(np.sum(np.abs(coeffs[: n // 4]) ** 2))
-
-    taylor, tn, _ = sym.refine(taylor_route, max(4096, base_n), 2 ** 22,
-                               lambda prev, cur: prev is not None and abs(cur - prev) < 1e-10)
-    return NormRoutes(direct, poisson, taylor, size, tn)
+    taylor, sum_settled = _taylor_route(lowered, a, b)
+    return NormRoutes(direct, poisson, taylor, size, grid_settled and sum_settled)
 
 
 # ---------------------------------------------------------------------------

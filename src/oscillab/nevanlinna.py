@@ -9,9 +9,9 @@ maximizes |w|^2 N(sigma_phi(a) . phi . sigma_a, w) over a deterministic
 w-grid with local stencil refinement around the argmax, for many points a
 at once, and never lowers the composite: sigma_a and sigma_b are
 involutions, so its preimages of w are sigma_a(z) for the roots z of
-p - sigma_b(w) q.  The roots of all (point x w) rows come from the
-quadratic formula when phi has degree <= 2, and otherwise from one
-eigenvalue call on stacked companion matrices.
+p - sigma_b(w) q.  The roots of all (point x w) rows come from -c0/c1
+when phi has degree 1, the quadratic formula at degree 2, and otherwise
+from one eigenvalue call on stacked companion matrices.
 """
 
 from __future__ import annotations
@@ -239,6 +239,13 @@ S1_CHUNK = 64
 S1_REFINE_ROUNDS = 3
 
 
+def _linear_roots(c, b):
+    """The root -c/b of c + b z, elementwise; inf where |b| <= 1e-13."""
+    kept = np.abs(b) > 1e-13
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(kept, -c / np.where(kept, b, 1.0), np.inf)
+
+
 def _quadratic_roots(c, b, a):
     """Both roots of c + b z + a z^2, elementwise, each from its stable
     formula; a root lost to a coefficient below 1e-13 is inf, and where
@@ -250,8 +257,7 @@ def _quadratic_roots(c, b, a):
     with np.errstate(divide="ignore", invalid="ignore"):
         r1 = np.where(lead_ok, q / np.where(lead_ok, a, 1.0), np.inf)
         r2 = np.where(q != 0, c / np.where(q != 0, q, 1.0), 0.0)
-        lin = np.where(np.abs(b) > tiny, -c / np.where(np.abs(b) > tiny, b, 1.0), np.inf)
-    return np.where(lead_ok, r1, lin), np.where(lead_ok, r2, np.inf)
+    return np.where(lead_ok, r1, _linear_roots(c, b)), np.where(lead_ok, r2, np.inf)
 
 
 @functools.lru_cache(maxsize=1)
@@ -295,12 +301,12 @@ def _pullback_counts(lowered: RationalForm, points: np.ndarray, images: np.ndarr
     sigma_a and sigma_b are involutions, so the composite's preimages of w
     are u = sigma_a(z) for the roots z of p - sigma_b(w) q, that is of
     (1 - conj(b) w) p - (b - w) q.  Each (point x w) row is scaled by its
-    largest coefficient.  Rows of degree <= 2 take their roots from
-    ``_quadratic_roots``, higher degrees from ``_polished_roots``; both lose
-    a root to a top coefficient below 1e-13, as ``preimages`` does: where
-    sigma_b(w) = phi(infinity) it sits at infinity and counts nothing.  A
-    root counts log(1/|u|) when |u| < 1 and flags its point when ||u| - 1|
-    is within ``BOUNDARY_AMBIGUITY``.
+    largest coefficient.  Rows of degree 1 take their root from
+    ``_linear_roots``, degree 2 from ``_quadratic_roots``, higher degrees
+    from ``_polished_roots``; all lose a root to a top coefficient below
+    1e-13, as ``preimages`` does: where sigma_b(w) = phi(infinity) it sits
+    at infinity and counts nothing.  A root counts log(1/|u|) when |u| < 1
+    and flags its point when ||u| - 1| is within ``BOUNDARY_AMBIGUITY``.
     """
     m, k = cand.shape
     p, q = _padded(lowered)
@@ -311,7 +317,9 @@ def _pullback_counts(lowered: RationalForm, points: np.ndarray, images: np.ndarr
     scale[scale == 0] = 1.0
     coeffs = [c / scale for c in coeffs]
     d = len(coeffs) - 1
-    if d <= 2:
+    if d == 1:
+        z = _linear_roots(*coeffs)[..., None]
+    elif d <= 2:
         z = np.stack(_quadratic_roots(*coeffs, *[0.0] * (2 - d)), axis=-1)[..., :d]
     else:
         rows = np.stack(coeffs, axis=-1).reshape(m * k, d + 1)

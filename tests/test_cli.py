@@ -6,6 +6,7 @@ from dataclasses import fields
 import pytest
 
 from oscillab import cli
+from oscillab import criteria as cr
 from oscillab import sweep as sw
 from oscillab.gallery import GALLERY, entry_by_name, run_gallery
 from oscillab.criteria import SweepSettings
@@ -363,6 +364,12 @@ class TestCliCommands:
         assert cli.main(["identities", "--points", "2", "--seed", "3"]) == 0
         out = capsys.readouterr().out
         assert "all identities hold" in out
+
+    def test_identities_count_an_unsettled_worst_point_as_failed(self, capsys, monkeypatch):
+        monkeypatch.setattr(cr, "TAYLOR_SQUARINGS", 1)
+        assert cli.main(["identities", "--points", "2", "--seed", "3"]) == 3
+        out = capsys.readouterr().out
+        assert "UNSETTLED" in out and "all identities hold" not in out
 
     def test_identity_sweep_reports_flat_counting_profile(self, tmp_path):
         cfg = sw.SweepConfig(symbol={"kind": "identity"}, criteria=("L", "S1"),

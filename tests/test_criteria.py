@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -49,16 +50,97 @@ class TestLStatistic:
                 routes = cr.composite_norm_routes(phi, a)
                 assert routes.spread() < 1e-10
 
-    @pytest.mark.parametrize("name, a, grids", [
-        ("square", 1 - 2.0 ** -9, (32768, 4194304)),     # Taylor route at its cap
-        ("half-shift", 0.9, (8192, 8192)),
-        ("nested-scale", 0.97, (8192, 8192)),
+    @pytest.mark.parametrize("name, a, grid_n", [
+        ("square", 1 - 2.0 ** -9, 32768),
+        ("half-shift", 0.9, 8192),
+        ("nested-scale", 0.97, 8192),
     ])
-    def test_route_stop_grids(self, name, a, grids):
-        # the stop grids of both refinements; an off-by-one doubling or a
-        # reordered stop rule moves them
+    def test_route_stop_grids(self, name, a, grid_n):
+        # the stop grid of the direct/Poisson refinement; an off-by-one
+        # doubling or a reordered stop rule moves it
         routes = cr.composite_norm_routes(gallery.entry_by_name(name).symbol, a)
-        assert (routes.grid_n, routes.taylor_n) == grids
+        assert routes.grid_n == grid_n and routes.settled
+
+
+def fft_taylor_route(phi, a, base_n=4096):
+    """The squared Taylor coefficients of sigma_b . phi . sigma_a summed from
+    FFTs of its boundary values, the coefficient order at a quarter of the
+    grid, the grid doubled until the sum moves by less than 1e-10 or reaches
+    2^22: the reference for the closed-form route."""
+    a = complex(a)
+    b = complex(phi.eval(a))
+
+    def taylor_route(n):
+        coeffs = np.fft.fft(cr._composite_values(phi, a, b, s.roots_of_unity(n))) / n
+        return float(np.sum(np.abs(coeffs[: n // 4]) ** 2))
+
+    return s.refine(taylor_route, max(4096, base_n), 2 ** 22,
+                    lambda prev, cur: prev is not None and abs(cur - prev) < 1e-10)[0]
+
+
+ROUTE_SYMBOLS = {**{e.name: e.symbol for e in gallery.GALLERY},
+                 "blaschke-3": s.Blaschke(1.0, (0.5, 0.3j, -0.6 + 0.2j)),
+                 "blaschke-5": s.Blaschke(1.0, (0.5, 0.5j, -0.5, -0.5j, 0.3))}
+INNER = {name: ROUTE_SYMBOLS[name]
+         for name in ("identity", "square", "moebius-0.5", "blaschke-3", "blaschke-5")}
+
+
+class TestTaylorRoute:
+    @pytest.mark.parametrize("name", sorted(ROUTE_SYMBOLS))
+    def test_matches_the_fft_route(self, name):
+        phi = ROUTE_SYMBOLS[name]
+        rng = np.random.default_rng(31)
+        for k in (1, 3, 6):
+            a = (1 - 2.0 ** -k) * np.exp(2j * math.pi * rng.uniform())
+            routes = cr.composite_norm_routes(phi, a)
+            assert abs(routes.taylor - fft_taylor_route(phi, a)) <= 1e-12
+
+    @pytest.mark.parametrize("name", sorted(INNER))
+    def test_inner_symbols_read_one_at_1_minus_2_to_the_minus_10(self, name):
+        rng = np.random.default_rng(32)
+        for t in rng.uniform(0, 1, 8):
+            a = (1 - 2.0 ** -10) * np.exp(2j * math.pi * t)
+            routes = cr.composite_norm_routes(INNER[name], a)
+            assert abs(routes.taylor - 1.0) <= 1e-9 and routes.settled
+
+    @pytest.mark.parametrize("a", [0.0, 1e-8])
+    def test_b_zero_and_tiny(self, a):
+        # b = phi(a) = a^2 is 0 or 1e-16: h = sigma_b . phi is square itself
+        square = INNER["square"]
+        routes = cr.composite_norm_routes(square, a)
+        assert abs(routes.taylor - 1.0) <= 1e-12
+        assert abs(routes.taylor - fft_taylor_route(square, a)) <= 1e-12
+
+    def test_quad_touch_near_minus_one(self):
+        routes = cr.composite_norm_routes(gallery.entry_by_name("quad-touch").symbol, -0.999)
+        assert routes.spread() <= 1e-12 and routes.settled
+
+    def test_constant_reads_zero(self):
+        assert cr.composite_norm_routes(s.Constant(0.3 - 0.2j), 0.7j).taylor == 0.0
+
+    def test_composite_beyond_the_degree_cap_raises(self):
+        phi = s.Compose(s.Blaschke(1.0, (0j,) * 9), s.Blaschke(1.0, (0.1,) * 8))
+        with pytest.raises(nev.RationalFormError):
+            cr.composite_norm_routes(phi, 0.3)
+
+    def test_unsettled_doubling_is_reported(self, monkeypatch):
+        monkeypatch.setattr(cr, "TAYLOR_SQUARINGS", 2)
+        routes = cr.composite_norm_routes(INNER["square"], 0.9)
+        assert not routes.settled
+
+    @pytest.mark.parametrize("k", [9, 10])
+    def test_square_settles_without_large_grids(self, k):
+        # the FFT route stopped unconverged at 2^22 points here, 7e-8 to
+        # 3e-7 short; one 2^22-point complex FFT alone is 64 MB
+        a = (1.0 - 2.0 ** -k) * complex(math.cos(0.2 * math.pi), math.sin(0.2 * math.pi))
+        tracemalloc.start()
+        try:
+            routes = cr.composite_norm_routes(INNER["square"], a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert routes.spread() <= 1e-8 and routes.settled
+        assert peak < 16 * 2 ** 20
 
 
 class TestArcStatistics:

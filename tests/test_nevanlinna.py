@@ -336,6 +336,17 @@ class TestPullbackS1:
         assert nv.s1_statistic(PULLBACK_SYMBOLS["square"], 0.0).value == pytest.approx(
             FROSTMAN, abs=1e-4)
 
+    def test_linear_roots_match_the_quadratic_formula(self):
+        # degree-1 rows skip _quadratic_roots; its root for a zero leading
+        # coefficient is the same, bit for bit
+        rng = np.random.default_rng(41)
+        c0, c1 = (rng.normal(size=(2, 400)) + 1j * rng.normal(size=(2, 400))) / 2
+        c1[:100] *= 10.0 ** rng.uniform(-16, -11, 100)
+        c1[:10] = 0.0
+        first, second = nv._quadratic_roots(c0, c1, 0.0)
+        assert np.array_equal(nv._linear_roots(c0, c1), first)
+        assert np.all(np.isinf(second))
+
     def test_double_root_at_the_origin_counts_twice(self):
         # w = phi(a) = 1/4 on the w-grid: p - sigma_b(w) q = z^2 has the
         # double root 0, the preimage sigma_a(0) = a = 1/2 counted twice
