@@ -29,7 +29,7 @@ from . import nevanlinna as nev
 from . import sweep as sweep_mod
 from . import symbols as sym
 from .gallery import DEFAULT_KINDS, EXTRA_KINDS, GALLERY, run_gallery
-from .hardy import QuadratureError, garsia_gamma
+from .hardy import BASE_N, QuadratureError, garsia_gamma
 from .sweep import ConfigError, SweepConfig
 
 EXIT_OK = 0
@@ -76,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="output JSON path (default: stdout)")
 
     p = sub.add_parser("identities", help="cross-module identity suite on the gallery")
-    p.add_argument("--n", type=int, default=4096, help="base boundary grid size")
+    p.add_argument("--n", type=int, default=BASE_N, help="base boundary grid size")
     p.add_argument("--points", type=int, default=20, help="random base points per run")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-8)

@@ -1,11 +1,14 @@
 """Compactness statistics for composition operators and their sweep profiles.
 
 The normalized composite sigma_phi(a) . phi . sigma_a is the common thread:
-its H^2 norm (the boundary-approach statistic) is computed both from direct
-samples and through the Poisson-weighted pseudo-hyperbolic integral, with
-the grid doubled in the one refinement loop ``symbols.refine`` until the two
-routes agree (``hardy.agreed_routes``); ``composite_norm_routes`` checks both
-against the sum of its squared Taylor coefficients in closed form.  Around
+its H^2 norm, the boundary-approach statistic L(a), is the oscillation
+gamma(sigma_phi(a) . phi, a).  It runs on hardy's one dual-route kernel
+(``hardy.route_means`` under ``hardy.agreed_routes``) with the
+pseudo-hyperbolic rho^2 as integrand, so this module does no boundary
+quadrature of its own; the swept maxima of L and VMOA-iii are re-checked
+by the same anchor rule as every seminorm sweep (``hardy._anchored_max``).
+``composite_norm_routes`` checks both routes against the sum of the
+composite's squared Taylor coefficients in closed form.  Around
 it sit the arc-average reformulations (single and double, pseudo-hyperbolic
 or capped-hyperbolic metric), the power statistic |phi^n|_*, the
 shifted-seminorm statistic |sigma_b . phi|_*, the level-set measure
@@ -25,7 +28,6 @@ into exit code 3.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,13 +35,19 @@ import numpy as np
 from . import hardy
 from . import nevanlinna as nev
 from . import symbols as sym
-from .geometry import (Arc, arc_sample_points, center_of, moebius, poisson_kernel, rho,
+from .geometry import (DEFAULT_TAU_CAP, Arc, arc_sample_points, center_of, moebius, rho,
                        rho_parts, tau_capped)
 
 STRICT_FAMILY = ("L", "S1", "A-double", "A-prime", "W2")
 
 #: the measure statistic's thresholds are t_k = 1 - 2^-k for k = S2_LEVEL_START..depth
 S2_LEVEL_START = 4
+
+#: midpoint-rule samples per arc of the arc averages
+ARC_SAMPLES = 128
+
+#: boundary grid of the level-set measure statistic
+S2_BOUNDARY_N = 8192
 
 
 @dataclass(frozen=True)
@@ -48,15 +56,15 @@ class SweepSettings:
 
     depth: int = 12             # ladder levels s_k = 1 - 2^-k, k <= depth
     angles: int = 64            # angular resolution of the a-grid
-    base_n: int = 4096          # starting boundary grid for quadratures
-    arc_samples: int = 128      # per-arc samples for arc averages
+    base_n: int = hardy.BASE_N  # starting boundary grid for quadratures
+    arc_samples: int = ARC_SAMPLES
     epsilon: float = 0.15       # "vanishing" final-level threshold
     delta: float = 0.1          # "bounded below" threshold
     s2_epsilon: float = 0.05    # final-level threshold for the measure statistic
-    tau_cap: float = 50.0
+    tau_cap: float = DEFAULT_TAU_CAP
     tau_power: float = 1.0
     s2_radii: tuple = (0.25, 0.5, 0.75)
-    s2_boundary_n: int = 8192
+    s2_boundary_n: int = S2_BOUNDARY_N
     w1_powers: tuple = (1, 2, 4, 8, 16, 32, 64, 128)
     w2_angles: int = 16         # angular resolution of the w2 seminorm grid
     level_start: int = 4        # first ladder level reported in profiles
@@ -89,26 +97,14 @@ class CriterionProfile:
 # the normalized composite and its three norm routes
 # ---------------------------------------------------------------------------
 
-def _composite_values(phi: sym.Symbol, a: complex, b: complex,
-                      zeta: np.ndarray) -> np.ndarray:
-    """sigma_b . phi . sigma_a at the boundary points ``zeta``."""
-    moved = phi.eval(moebius(a, zeta))
-    return (b - moved) / (1.0 - np.conj(b) * moved)
+def _rho2(u, c):
+    """rho(u, c)^2, the integrand of the boundary-approach statistic."""
+    return np.square(rho(u, c))
 
 
-def _composite_routes(phi: sym.Symbol, a: complex, b: complex,
-                      n: int) -> tuple[float, float]:
-    """Squared H^2 norm of sigma_b . phi . sigma_a on the n-grid, as
-    (direct samples, rho^2-Poisson integral of phi's boundary values)."""
-    zeta = sym.roots_of_unity(n)
-    direct = float(np.mean(np.abs(_composite_values(phi, a, b, zeta)) ** 2))
-    boundary = hardy.sample_boundary(phi, n)
-    poisson = float(np.mean(rho(boundary, b) ** 2 * poisson_kernel(a, zeta)))
-    return direct, poisson
-
-
-def l_statistic(phi: sym.Symbol, a: complex, base_n: int = 4096) -> float:
-    """||sigma_phi(a) . phi . sigma_a||_{H^2} by the rho^2-Poisson route.
+def l_statistic(phi: sym.Symbol, a: complex, base_n: int = hardy.BASE_N) -> float:
+    """||sigma_phi(a) . phi . sigma_a||_{H^2} = gamma(sigma_phi(a) . phi, a)
+    by the rho^2-Poisson route of ``hardy.agreed_routes``.
 
     The direct-sample route runs alongside as the error indicator; the grid
     doubles until both square roots agree within ``hardy.GAMMA_TOL``.
@@ -116,12 +112,7 @@ def l_statistic(phi: sym.Symbol, a: complex, base_n: int = 4096) -> float:
     sym.certificate(phi)
     a = complex(a)
     b = complex(phi.eval(a))
-
-    def routes(size):
-        direct2, poisson2 = _composite_routes(phi, a, b, size)
-        return math.sqrt(direct2), math.sqrt(max(poisson2, 0.0))
-
-    return hardy.agreed_routes("l-statistic", routes, a, base_n)[1]
+    return hardy.agreed_routes("l-statistic", phi, a, b, _rho2, base_n)[1]
 
 
 @dataclass(frozen=True)
@@ -187,22 +178,23 @@ def _taylor_route(lowered: nev.RationalForm, a: complex, b: complex) -> tuple[fl
     return float(abs(h0 + a * v[0]) ** 2 + S[0, 0].real), settled
 
 
-def composite_norm_routes(phi: sym.Symbol, a: complex, base_n: int = 4096) -> NormRoutes:
+def composite_norm_routes(phi: sym.Symbol, a: complex,
+                          base_n: int = hardy.BASE_N) -> NormRoutes:
     """Three independent routes to the squared H^2 norm of the normalized
-    composite sigma_b . phi . sigma_a, b = phi(a): the mean of |.|^2 over
-    direct boundary samples, the rho^2-Poisson integral of phi's own
-    boundary values (these two refined on one grid until each settles or
-    the grid reaches ``hardy.MAX_GRID``), and the sum of the squared Taylor
-    coefficients in closed form from phi's rational form (``_taylor_route``,
-    no grid), good to 1e-9 for |a| <= 1 - 2^-10.  A phi that does not lower
-    raises its RationalFormError.
+    composite sigma_b . phi . sigma_a, b = phi(a): the two rho^2 means of
+    ``hardy.route_means``, over direct boundary samples and as the Poisson
+    integral of phi's own boundary values (refined on one grid until each
+    settles or the grid reaches ``hardy.MAX_GRID``), and the sum of the
+    squared Taylor coefficients in closed form from phi's rational form
+    (``_taylor_route``, no grid), good to 1e-9 for |a| <= 1 - 2^-10.  A phi
+    that does not lower raises its RationalFormError.
     """
     sym.certificate(phi)
     lowered = nev.to_rational(phi)
     a = complex(a)
     b = complex(phi.eval(a))
     (direct, poisson), size, grid_settled = sym.refine(
-        lambda n: _composite_routes(phi, a, b, n), hardy.grid_size_for(a, base_n),
+        lambda n: hardy.route_means(phi, a, b, _rho2, n), hardy.grid_size_for(a, base_n),
         hardy.MAX_GRID,
         lambda prev, cur: (prev is not None and abs(cur[0] - prev[0]) < 1e-10
                            and abs(cur[1] - prev[1]) < 1e-10))
@@ -227,7 +219,7 @@ def _arc_values(phi: sym.Symbol, arc: Arc, samples: int) -> np.ndarray:
     return phi.eval(arc.sample_points(samples))
 
 
-def arc_mean(phi: sym.Symbol, arc: Arc, samples: int = 128) -> complex:
+def arc_mean(phi: sym.Symbol, arc: Arc, samples: int = ARC_SAMPLES) -> complex:
     """Integral average of the boundary values over the arc (midpoint rule)."""
     return complex(np.mean(_arc_values(phi, arc, samples)))
 
@@ -292,13 +284,14 @@ def _double_averages(vals: np.ndarray, metrics, cap: float) -> dict:
 
 
 def arc_double_average(phi: sym.Symbol, arc: Arc, metric="rho2",
-                       samples: int = 128, tau_cap: float = 50.0) -> ArcAverage:
+                       samples: int = ARC_SAMPLES,
+                       tau_cap: float = DEFAULT_TAU_CAP) -> ArcAverage:
     """|I|^-2 double integral of the metric between boundary values over I x I."""
     return _double_averages(_arc_values(phi, arc, samples), [metric], tau_cap)[metric]
 
 
 def arc_center_average(phi: sym.Symbol, arc: Arc, metric="rho2",
-                       samples: int = 128, tau_cap: float = 50.0,
+                       samples: int = ARC_SAMPLES, tau_cap: float = DEFAULT_TAU_CAP,
                        center: complex | None = None) -> ArcAverage:
     """|I|^-1 integral over I of the metric against the value at the arc center."""
     vals = _arc_values(phi, arc, samples)
@@ -338,7 +331,7 @@ def w2_statistic(phi: sym.Symbol, b: complex, settings: SweepSettings | None = N
     return est.value
 
 
-def s2_statistic(phi: sym.Symbol, a: complex, t: float, n: int = 8192) -> float:
+def s2_statistic(phi: sym.Symbol, a: complex, t: float, n: int = S2_BOUNDARY_N) -> float:
     """Normalized measure of {zeta : |phi(sigma_a(zeta))| > t} by grid counting."""
     sym.certificate(phi)
     if not (0.0 < t < 1.0):
@@ -373,8 +366,7 @@ class CriterionSweep:
         """Poisson-route composite norm at every grid point (fast sweep)."""
         if self._l_values is None:
             self._l_values = hardy.poisson_sweep(
-                self.grid, self.phi_at_grid, self.phi, lambda u, c: np.square(rho(u, c)),
-                self.settings.base_n)
+                self.grid, self.phi_at_grid, self.phi, _rho2, self.settings.base_n)
         return self._l_values
 
     def arc_values(self) -> np.ndarray:
@@ -445,15 +437,18 @@ class CriterionSweep:
 
         return best
 
-    def _refined_l(self, lv: np.ndarray, idx) -> tuple[float, int, int]:
-        """The largest swept composite norm over idx, re-evaluated at its
-        argmax by the dual-route ``l_statistic``, that point's grid size and
-        no cap hits."""
-        s = self.settings
-        a = self.grid[idx[int(np.argmax(lv[idx]))]]
-        value = l_statistic(self.phi, complex(a), s.base_n)
-        return (max(value, float(np.max(lv[idx])) - hardy.GAMMA_TOL),
-                int(hardy.grid_size_for(a, s.base_n)), 0)
+    def _l_ladder(self, kind: str, witnesses) -> CriterionProfile:
+        """The largest swept composite norm over each level's witnesses,
+        anchored at its argmax by the dual-route ``l_statistic``, with that
+        point's grid size and no cap hits."""
+        lv, base_n = self.l_values(), self.settings.base_n
+
+        def anchored(idx):
+            value, a = hardy._anchored_max(lambda a: l_statistic(self.phi, a, base_n),
+                                           lv[idx], self.grid[idx])
+            return value, hardy.grid_size_for(a, base_n), 0
+
+        return self._ladder(kind, witnesses, anchored, lower_bound=True)
 
     def _arc_double(self, i: int, metric) -> ArcAverage:
         """Double arc average at grid point i.  The rho values of each arc are
@@ -508,15 +503,11 @@ class CriterionSweep:
 
     def profile_l(self) -> CriterionProfile:
         """Envelope of the composite norm over level sets |phi(a)| >= s_k."""
-        lv = self.l_values()
-        return self._ladder("L", self._level_sets(np.abs(self.phi_at_grid)),
-                            lambda idx: self._refined_l(lv, idx), lower_bound=True)
+        return self._l_ladder("L", self._level_sets(np.abs(self.phi_at_grid)))
 
     def profile_vmoa_iii(self) -> CriterionProfile:
         """Per-radius sup of the composite norm (the |a| -> 1 flavor)."""
-        lv = self.l_values()
-        return self._ladder("VMOA-iii", self._ring,
-                            lambda idx: self._refined_l(lv, idx), lower_bound=True)
+        return self._l_ladder("VMOA-iii", self._ring)
 
     def profile_s1(self) -> CriterionProfile:
         """Envelope of the counting statistic over level sets |phi(a)| >= s_k.

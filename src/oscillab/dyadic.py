@@ -85,6 +85,23 @@ def _as_interval(q) -> tuple[Fraction, Fraction]:
     return Fraction(lo), Fraction(hi)
 
 
+def _wrapped_pieces(q) -> list[tuple[Fraction, Fraction]]:
+    """The [lo, hi) pieces inside [0, 1) of an Arc / DyadicArc / pair taken
+    mod 1: none, one, or two when it wraps past 0."""
+    lo, hi = _as_interval(q)
+    if hi - lo >= 1:
+        return [(ZERO, ONE)]
+    lo = lo % 1
+    hi = hi % 1
+    if hi == 0:
+        hi = ONE
+    if lo < hi:
+        return [(lo, hi)]
+    if lo == hi:
+        return []
+    return [(lo, ONE), (ZERO, hi)]
+
+
 @dataclass(frozen=True)
 class ArcSet:
     """Sorted, disjoint, merged half-open intervals inside [0, 1)."""
@@ -114,18 +131,7 @@ class ArcSet:
     @staticmethod
     def from_arc(arc) -> "ArcSet":
         """Wrap-aware conversion of an Arc / DyadicArc / pair into a set."""
-        lo, hi = _as_interval(arc)
-        if hi - lo >= 1:
-            return ArcSet.from_pairs([(ZERO, ONE)])
-        lo = lo % 1
-        hi = hi % 1
-        if hi == 0:
-            hi = ONE
-        if lo < hi:
-            return ArcSet.from_pairs([(lo, hi)])
-        if lo == hi:
-            return ArcSet(())
-        return ArcSet.from_pairs([(lo, ONE), (ZERO, hi)])
+        return ArcSet.from_pairs(_wrapped_pieces(arc))
 
     @staticmethod
     def full() -> "ArcSet":
@@ -224,19 +230,32 @@ class ArcSet:
 
 def intersect_measure(E: ArcSet, q) -> Fraction:
     """Exact measure of the intersection of E with a dyadic arc / arc / pair."""
-    lo, hi = _as_interval(q)
-    if hi - lo >= 1:
-        return E.measure
-    lo2 = lo % 1
-    hi2 = hi % 1
-    if hi2 == 0:
-        hi2 = ONE
-    if lo2 < hi2:
-        return E.intersect_interval(lo2, hi2).measure
-    if lo2 == hi2:
-        return ZERO
-    return (E.intersect_interval(lo2, ONE).measure
-            + E.intersect_interval(ZERO, hi2).measure)
+    return sum((E.intersect_interval(lo, hi).measure for lo, hi in _wrapped_pieces(q)),
+               ZERO)
+
+
+def _stopping_arcs(E: ArcSet, stop, descend) -> list[DyadicArc]:
+    """The maximal dyadic arcs q with ``stop(q, |q ∩ E|)``, found by descending
+    from the whole circle into the children of every arc that does not stop
+    but satisfies ``descend(q, |q ∩ E|)``; sorted by (level, index).  Raises
+    DepthCapError when some arc still descends at MAX_DEPTH."""
+    stopping: list[DyadicArc] = []
+    unresolved: list[DyadicArc] = []
+    stack = [DyadicArc(0, 0)]
+    while stack:
+        q = stack.pop()
+        inter = intersect_measure(E, q)
+        if stop(q, inter):
+            stopping.append(q)
+        elif descend(q, inter):
+            if q.level >= MAX_DEPTH:
+                unresolved.append(q)
+            else:
+                stack.extend(q.children())
+    if unresolved:
+        raise DepthCapError(unresolved)
+    stopping.sort(key=lambda q: (q.level, q.index))
+    return stopping
 
 
 # ---------------------------------------------------------------------------
@@ -265,26 +284,13 @@ def density_core(E: ArcSet, snap: bool = True) -> DensityCoreResult:
     if E.measure == 0:
         raise ValueError("density_core needs a set of positive measure")
     lam = 1 - E.measure / 2
-    stopping: list[DyadicArc] = []
-    unresolved: list[DyadicArc] = []
-    stack = [DyadicArc(0, 0)]
-    while stack:
-        q = stack.pop()
-        comp = q.measure - intersect_measure(E, q)
-        if comp > lam * q.measure:
-            stopping.append(q)
-        elif comp > 0:
-            if q.level >= MAX_DEPTH:
-                unresolved.append(q)
-            else:
-                stack.extend(q.children())
-    if unresolved:
-        raise DepthCapError(unresolved)
+    # the complement's share of q is q.measure - inter
+    stopping = _stopping_arcs(E, lambda q, inter: q.measure - inter > lam * q.measure,
+                              lambda q, inter: inter < q.measure)
     removed = ArcSet.from_pairs([(q.low, q.high) for q in stopping])
     core = E.difference(removed)
     if core.measure <= 0:
         raise RuntimeError("density core came out empty; this contradicts the construction")
-    stopping.sort(key=lambda q: (q.level, q.index))
     return DensityCoreResult(E, core, tuple(stopping), lam, changed)
 
 
@@ -342,25 +348,11 @@ def wik_decomposition(E: ArcSet, lam, snap: bool = True) -> WikResult:
         E, changed = E.snapped()
     if E.measure > lam:
         raise ValueError(f"need |E| <= lambda, got |E| = {E.measure} > {lam}")
-    selected: list[DyadicArc] = []
-    unresolved: list[DyadicArc] = []
-    stack = [DyadicArc(0, 0)]
     half = lam / 2
-    while stack:
-        q = stack.pop()
-        inter = intersect_measure(E, q)
-        if inter >= half * q.measure:
-            selected.append(q)
-        elif inter > 0:
-            if q.level >= MAX_DEPTH:
-                unresolved.append(q)
-            else:
-                stack.extend(q.children())
-    if unresolved:
-        raise DepthCapError(unresolved)
+    selected = _stopping_arcs(E, lambda q, inter: inter >= half * q.measure,
+                              lambda q, inter: inter > 0)
     covered = ArcSet.from_pairs([(q.low, q.high) for q in selected])
     residue = E.difference(covered).measure
-    selected.sort(key=lambda q: (q.level, q.index))
     return WikResult(E, lam, tuple(selected), residue, changed)
 
 

@@ -5,11 +5,14 @@ of unity.  The central quantity is the oscillation
 
     gamma(f, a) = || f . sigma_a - f(a) ||_{H^2},
 
-computed two independent ways: directly from samples of f . sigma_a, and
-after the change of variable as the Poisson-weighted mean of |f - f(a)|^2.
-The dual-route residual is used as a free error indicator: grids double in
-the one refinement loop ``symbols.refine`` until the two routes agree
-(``agreed_routes``).  Suprema of gamma over finite point grids give
+computed two independent ways by the one pointwise kernel ``route_means``:
+directly from samples of f . sigma_a, and after the change of variable as
+the Poisson-weighted mean of |f - f(a)|^2.  With rho^2 in place of
+|u - c|^2 the same kernel gives L(a) = gamma(sigma_phi(a) . phi, a).  The
+dual-route residual is used as a free error indicator: grids double in the
+one refinement loop ``symbols.refine`` until the two routes agree
+(``agreed_routes``), and every swept maximum is re-checked at its argmax
+that way (``_anchored_max``).  Suprema of gamma over finite point grids give
 certified *lower* bounds for the BMOA seminorm; no finite grid can certify
 the supremum from above, and estimates are flagged accordingly.
 """
@@ -26,6 +29,9 @@ from . import symbols as sym
 from .geometry import moebius, poisson_kernel
 
 MAX_GRID = 2 ** 20
+
+#: the starting boundary grid of every quadrature
+BASE_N = 4096
 
 #: boundary grids are sized so that n * (1 - |a|) >= this decay exponent
 POLE_CLEARANCE = 23.0
@@ -103,14 +109,14 @@ def h2_norm(f) -> float:
     """Hardy-space norm from boundary samples.
 
     Accepts a BoundaryGrid, a Symbol, or any boundary function; for the
-    latter two the grid doubles from 4096 until the value stabilizes.
+    latter two the grid doubles from BASE_N until the value stabilizes.
     """
     if isinstance(f, sym.BoundaryGrid):
         if f.n < 64:
             raise ValueError("grid too coarse for an H^2 norm")
         return float(np.sqrt(np.mean(np.abs(f.values) ** 2)))
     return sym.refine(lambda n: float(np.sqrt(np.mean(np.abs(sample_boundary(f, n)) ** 2))),
-                      4096, 2 ** 18, _h2_settled)[0]
+                      BASE_N, 2 ** 18, _h2_settled)[0]
 
 
 def h2_norm_coefficients(phi: sym.Symbol) -> float:
@@ -119,10 +125,32 @@ def h2_norm_coefficients(phi: sym.Symbol) -> float:
                       255, 2 ** 17, _h2_settled)[0]
 
 
-def agreed_routes(what: str, evaluate, a: complex, base_n: int) -> tuple[float, float]:
-    """``evaluate(n)`` = (direct, poisson) on the first grid from
+def modulus2(u, c):
+    """|u - c|^2, the integrand of gamma."""
+    return np.abs(u - c) ** 2
+
+
+def route_means(f, a: complex, center: complex, dist2, n: int) -> tuple[float, float]:
+    """The pair (mean of ``dist2(f(sigma_a zeta), center)``, mean of
+    ``dist2(f(zeta), center)`` times the Poisson kernel P_a(zeta)) over the
+    n-th roots of unity zeta: the direct and the Poisson route to one
+    integral, related by the change of variable zeta -> sigma_a(zeta)."""
+    zeta = sym.roots_of_unity(n)
+    direct = float(np.mean(dist2(f.eval(moebius(a, zeta)), center)))
+    weighted = dist2(sample_boundary(f, n), center) * poisson_kernel(a, zeta)
+    return direct, float(np.mean(weighted))
+
+
+def agreed_routes(what: str, f, a: complex, center: complex, dist2,
+                  base_n: int) -> tuple[float, float]:
+    """The square roots of ``route_means`` on the first grid from
     ``grid_size_for(a, base_n)`` on where the two agree within GAMMA_TOL;
     disagreement at MAX_GRID raises QuadratureError naming ``what`` and a."""
+
+    def evaluate(n):
+        direct, poisson = route_means(f, a, center, dist2, n)
+        return math.sqrt(direct), math.sqrt(max(poisson, 0.0))
+
     (direct, poisson), n, agreed = sym.refine(
         evaluate, grid_size_for(a, base_n), MAX_GRID,
         lambda prev, cur: abs(cur[0] - cur[1]) <= GAMMA_TOL)
@@ -133,7 +161,7 @@ def agreed_routes(what: str, evaluate, a: complex, base_n: int) -> tuple[float, 
     return direct, poisson
 
 
-def garsia_gamma(f, a: complex, n: int = 4096) -> float:
+def garsia_gamma(f, a: complex, n: int = BASE_N) -> float:
     """gamma(f, a) with the dual-route agreement guarantee.
 
     Route one samples f . sigma_a directly; route two integrates
@@ -142,19 +170,7 @@ def garsia_gamma(f, a: complex, n: int = 4096) -> float:
     QuadratureError carrying both values (``agreed_routes``).
     """
     a = complex(a)
-    if abs(a) > 0.9999:
-        raise ValueError(f"gamma is evaluated for |a| <= 0.9999, got {abs(a)}")
-    fa = complex(f.eval(a))
-
-    def routes(size):
-        zeta = sym.roots_of_unity(size)
-        moved = f.eval(moebius(a, zeta))
-        direct = math.sqrt(float(np.mean(np.abs(moved - fa) ** 2)))
-        fv = sample_boundary(f, size)
-        weighted = float(np.mean(np.abs(fv - fa) ** 2 * poisson_kernel(a, zeta)))
-        return direct, math.sqrt(max(weighted, 0.0))
-
-    return agreed_routes("gamma", routes, a, n)[0]
+    return agreed_routes("gamma", f, a, complex(f.eval(a)), modulus2, n)[0]
 
 
 def ring_grid(radii: Sequence[float], angles: int) -> np.ndarray:
@@ -223,15 +239,15 @@ def poisson_sweep(points: np.ndarray, centers: np.ndarray, boundary, dist2,
     return out
 
 
-def poisson_gamma_sweep(f, points: np.ndarray, base_n: int = 4096) -> np.ndarray:
+def poisson_gamma_sweep(f, points: np.ndarray, base_n: int = BASE_N) -> np.ndarray:
     """Poisson-route gamma(f, a) for every a in ``points`` (vectorized)."""
     points = np.asarray(points, dtype=complex)
     return poisson_sweep(points, np.asarray(f.eval(points), dtype=complex), f,
-                         lambda u, c: np.abs(u - c) ** 2, base_n)
+                         modulus2, base_n)
 
 
 def ring_gamma_sweep(f, radii: Sequence[float], angles: int,
-                     base_n: int = 4096) -> np.ndarray:
+                     base_n: int = BASE_N) -> np.ndarray:
     """gamma(f, a) at every point of ``ring_grid(radii, angles)``, ring by ring.
 
     Uses the Garsia identity gamma(f, a)^2 = P[|f|^2](a) - |f(a)|^2.  On a
@@ -272,49 +288,39 @@ def ring_gamma_sweep(f, radii: Sequence[float], angles: int,
     return out
 
 
-def _anchored_max(f, values: np.ndarray, points: np.ndarray,
-                  base_n: int) -> tuple[float, complex]:
+def _anchored_max(evaluate, values: np.ndarray,
+                  points: np.ndarray) -> tuple[float, complex]:
     """The largest swept value and its point, re-evaluated there by the
-    dual-route ``garsia_gamma`` (skipped beyond |a| = 0.9999)."""
+    dual-route ``evaluate(a)``; the sweep's value stands when the
+    re-evaluation is lower by at most GAMMA_TOL."""
     k = int(np.argmax(values))
-    best, a = float(values[k]), complex(points[k])
-    if abs(a) <= 0.9999:
-        best = max(garsia_gamma(f, a, base_n), best - GAMMA_TOL)
-    return best, a
+    a = complex(points[k])
+    return max(evaluate(a), float(values[k]) - GAMMA_TOL), a
 
 
-def bmoa_seminorm(f, grid: np.ndarray | None = None, depth: int = 12,
-                  angles: int = 64, base_n: int = 4096,
+def bmoa_seminorm(f, depth: int = 12, angles: int = 64, base_n: int = BASE_N,
                   extra_points: Sequence[complex] = ()) -> SeminormEstimate:
-    """Lower-bound estimate of the BMOA seminorm over a point grid.
+    """Lower-bound estimate of the BMOA seminorm over the standard grid.
 
-    On the standard grid (``grid`` is None) every ring is swept at once by
-    ``ring_gamma_sweep``; a custom ``grid`` and any ``extra_points`` added
-    to the standard grid go through the pointwise ``poisson_gamma_sweep``.
-    The winning point is then re-evaluated with the dual-route gamma so the
+    Every ring is swept at once by ``ring_gamma_sweep``; any
+    ``extra_points`` go through the pointwise ``poisson_gamma_sweep``.  The
+    winning point is then re-evaluated with the dual-route gamma so the
     reported maximum carries the agreement guarantee.
     """
+    grid = standard_grid(depth, angles)
+    values = ring_gamma_sweep(f, _standard_radii(depth), angles, base_n).ravel()
+    desc = f"standard grid depth={depth} angles={angles}"
     extra = np.asarray(extra_points, dtype=complex)
-    if grid is None:
-        grid = standard_grid(depth, angles)
-        values = ring_gamma_sweep(f, _standard_radii(depth), angles, base_n).ravel()
-        desc = f"standard grid depth={depth} angles={angles}"
-        if len(extra):
-            grid = np.concatenate([grid, extra])
-            values = np.concatenate([values, poisson_gamma_sweep(f, extra, base_n)])
-            desc += f" plus {len(extra)} points"
-    else:
-        grid = np.concatenate([np.asarray(grid, dtype=complex), extra])
-        desc = f"custom grid of {len(grid)} points"
-        if len(grid) == 0:
-            raise ValueError("seminorm estimate needs a nonempty grid")
-        values = poisson_gamma_sweep(f, grid, base_n)
-    best, argmax = _anchored_max(f, values, grid, base_n)
+    if len(extra):
+        grid = np.concatenate([grid, extra])
+        values = np.concatenate([values, poisson_gamma_sweep(f, extra, base_n)])
+        desc += f" plus {len(extra)} points"
+    best, argmax = _anchored_max(lambda a: garsia_gamma(f, a, base_n), values, grid)
     return SeminormEstimate(best, desc, True, argmax)
 
 
 def vmoa_profile(f, radii: Sequence[float], angular_count: int = 64,
-                 base_n: int = 4096) -> list[tuple[float, float]]:
+                 base_n: int = BASE_N) -> list[tuple[float, float]]:
     """Per-radius angular maxima of gamma(f, a); decay to 0 signals VMOA.
 
     All rings are swept at once by ``ring_gamma_sweep``; each ring's maximum
@@ -325,5 +331,5 @@ def vmoa_profile(f, radii: Sequence[float], angular_count: int = 64,
             raise ValueError(f"profile radii must lie in (0, 1), got {r}")
     values = ring_gamma_sweep(f, radii, angular_count, base_n)
     rings = ring_grid(radii, angular_count)
-    return [(float(r), _anchored_max(f, vals, ring, base_n)[0])
+    return [(float(r), _anchored_max(lambda a: garsia_gamma(f, a, base_n), vals, ring)[0])
             for r, vals, ring in zip(radii, values, rings)]

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hardy
-from .geometry import golden_max
 from .symbols import Moebius
 
 TWO_PI = 2.0 * math.pi
@@ -216,16 +215,12 @@ class TestSequence:
 def circle_sup_gamma(b, radius_gap: float) -> float:
     """sup over |a| = 1 - radius_gap of gamma(sigma_b - b, a).
 
-    One-dimensional in the angle; golden section locates the maximizer
-    (always the angle aligned with b) and the aligned value is returned.
+    gamma = sqrt((1 - |b|^2)(1 - |a|^2)) / |1 - conj(b) a|, and on the
+    circle |1 - conj(b) a| is smallest at the angle aligned with b, so the
+    supremum is the aligned value.
     """
     b = _as_gap(b)
-
-    def val(rel_turns: float) -> float:
-        return gamma_gap(b, GapPoint(radius_gap, b.turns + rel_turns))
-
-    best = golden_max(val, -0.5, 0.5, 1e-10)
-    return max(val(best), val(0.0))
+    return gamma_gap(b, GapPoint(radius_gap, b.turns))
 
 
 def region_sup_inside(b, radius_gap: float) -> float:
@@ -312,8 +307,8 @@ def select_subsequence(seq: TestSequence, depth: int,
                        first_radius_gap: float = 0.5) -> SelectionCertificate:
     """Greedy inductive selection realizing all 2^-(k+1) bounds up to ``depth``.
 
-    Region suprema come from the analytic closed form (angular golden
-    section on circles), never from grid sampling, so the certificate is
+    Region suprema come from the analytic closed form (the aligned value
+    on circles), never from grid sampling, so the certificate is
     airtight down to gap scales far below double resolution.
     """
     if depth < 0:

@@ -8,7 +8,7 @@ fail as stated and document sharp constants instead:
   0.05 only around t = 1 - 2^-12 (the supremum behaves like
   2.66 * sqrt(1 - t)), not by t = 1 - 2^-10;
 * 09: the lower Poisson bound 1/(4|I(a)|) is false near arc endpoints once
-  |a| > ~0.65; the sharp endpoint constant is 2/(1 + pi^2) = 0.18404.
+  |a| > ~0.65; the sharp endpoint constant is 2/(1 + pi^2) = 0.18400.
 """
 
 import json

@@ -10,7 +10,7 @@ from oscillab import gallery
 from oscillab import hardy
 from oscillab import nevanlinna as nev
 from oscillab import symbols as s
-from oscillab.geometry import Arc, arc_of, rho, tau_capped
+from oscillab.geometry import Arc, arc_of, moebius, rho, tau_capped
 
 RNG = np.random.default_rng(977)
 
@@ -50,6 +50,16 @@ class TestLStatistic:
                 routes = cr.composite_norm_routes(phi, a)
                 assert routes.spread() < 1e-10
 
+    @pytest.mark.parametrize("entry", gallery.GALLERY, ids=lambda e: e.name)
+    def test_is_gamma_of_the_shifted_symbol(self, entry):
+        # L(a) = gamma(sigma_phi(a) . phi, a)
+        phi = entry.symbol
+        rng = np.random.default_rng(41)
+        for r, t in zip(rng.uniform(0, 0.99, 6), rng.uniform(0, 1, 6)):
+            a = r * np.exp(2j * math.pi * t)
+            shifted = s.Compose(s.Moebius(complex(phi.eval(a))), phi)
+            assert abs(cr.l_statistic(phi, a) - hardy.garsia_gamma(shifted, a)) <= 1e-10
+
     @pytest.mark.parametrize("name, a, grid_n", [
         ("square", 1 - 2.0 ** -9, 32768),
         ("half-shift", 0.9, 8192),
@@ -71,7 +81,8 @@ def fft_taylor_route(phi, a, base_n=4096):
     b = complex(phi.eval(a))
 
     def taylor_route(n):
-        coeffs = np.fft.fft(cr._composite_values(phi, a, b, s.roots_of_unity(n))) / n
+        composite = s.Compose(s.Moebius(b), phi).eval(moebius(a, s.roots_of_unity(n)))
+        coeffs = np.fft.fft(composite) / n
         return float(np.sum(np.abs(coeffs[: n // 4]) ** 2))
 
     return s.refine(taylor_route, max(4096, base_n), 2 ** 22,

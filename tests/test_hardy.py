@@ -56,8 +56,13 @@ class TestGarsiaGamma:
         assert h.garsia_gamma(moebius_test_function(0.5), 0.0) == pytest.approx(
             math.sqrt(0.75), abs=1e-10)
 
-    def test_domain_guard(self):
-        with pytest.raises(ValueError):
+    def test_identity_closed_form_at_gap_2_to_the_minus_14(self):
+        a = 1.0 - 2.0 ** -14
+        assert abs(h.garsia_gamma(s.Identity(), a) - math.sqrt(1 - a * a)) <= 1e-12
+
+    def test_unresolved_point_raises(self):
+        # the routes still disagree at MAX_GRID; there is no radius guard
+        with pytest.raises(h.QuadratureError):
             h.garsia_gamma(s.Identity(), 0.99999)
 
     def test_change_of_variable_identity(self):
@@ -127,9 +132,20 @@ class TestSeminorm:
         est = h.bmoa_seminorm(s.Identity(), depth=6, angles=8)
         assert est.value == pytest.approx(math.sqrt(1 - 0.25), abs=1e-8)
 
-    def test_needs_points(self):
-        with pytest.raises(ValueError):
-            h.bmoa_seminorm(s.Identity(), grid=np.array([]))
+    def test_argmax_beyond_0_9999_is_anchored(self, monkeypatch):
+        # gamma(sigma_b, a) peaks at a = b, on the ring |a| = 1 - 2^-14
+        b = 1.0 - 2.0 ** -14
+        anchors = []
+        real = h.garsia_gamma
+
+        def spy(f, a, n):
+            anchors.append(a)
+            return real(f, a, n)
+
+        monkeypatch.setattr(h, "garsia_gamma", spy)
+        est = h.bmoa_seminorm(s.Moebius(b), depth=14, angles=4)
+        assert anchors == [b] and est.argmax == b
+        assert est.value == pytest.approx(1.0, abs=1e-8)
 
 
 class TestRingGammaSweep:
