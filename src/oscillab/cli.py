@@ -9,7 +9,8 @@ Subcommands:
 
 Exit codes: 0 success, 2 gallery verdict mismatch, 3 inconsistent
 equivalence diagnostics (or failed identities, or quadrature routes that
-do not agree at some witness point), 4 configuration errors.
+do not agree at some witness point), 4 configuration errors (including
+``decompose`` inputs that violate a construction's precondition).
 """
 
 from __future__ import annotations
@@ -142,7 +143,10 @@ def _cmd_decompose(args) -> int:
         if args.lam is None:
             raise ConfigError("wik mode needs --lambda p/q")
         lam = _parse_fraction(args.lam)
-        result = dyadic.wik_decomposition(arcs, lam)
+        try:
+            result = dyadic.wik_decomposition(arcs, lam)
+        except ValueError as exc:   # lambda outside (0, 1), or |E| > lambda
+            raise ConfigError(str(exc)) from exc
         payload = {
             "mode": "wik",
             "lambda": [lam.numerator, lam.denominator],
@@ -155,7 +159,10 @@ def _cmd_decompose(args) -> int:
     else:
         if args.lam is not None:
             raise ConfigError("density mode derives its own threshold; drop --lambda")
-        result = dyadic.density_core(arcs)
+        try:
+            result = dyadic.density_core(arcs)
+        except ValueError as exc:   # |E| = 0, possibly only after the snap
+            raise ConfigError(str(exc)) from exc
         checks = dyadic.verify_density_bound(result)
         payload = {
             "mode": "density",

@@ -17,8 +17,12 @@ grid first; the snap, when it changes anything, is reported.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate
+from math import lcm
 from typing import Iterable, Sequence
 
 from .geometry import Arc
@@ -89,6 +93,8 @@ def _wrapped_pieces(q) -> list[tuple[Fraction, Fraction]]:
     """The [lo, hi) pieces inside [0, 1) of an Arc / DyadicArc / pair taken
     mod 1: none, one, or two when it wraps past 0."""
     lo, hi = _as_interval(q)
+    if hi == lo:
+        return []
     if hi - lo >= 1:
         return [(ZERO, ONE)]
     lo = lo % 1
@@ -141,6 +147,27 @@ class ArcSet:
     def measure(self) -> Fraction:
         return sum((hi - lo for lo, hi in self.intervals), ZERO)
 
+    @cached_property
+    def _scaled(self) -> tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+        """(S, lows, highs, cum): S is the LCM of the endpoint denominators,
+        lows and highs are the endpoints in units of 1/S, and cum[i] is the
+        total length of the first i intervals in the same units."""
+        scale = lcm(*(t.denominator for pair in self.intervals for t in pair))
+        lows = tuple(lo.numerator * (scale // lo.denominator) for lo, _ in self.intervals)
+        highs = tuple(hi.numerator * (scale // hi.denominator) for _, hi in self.intervals)
+        cum = tuple(accumulate((hi - lo for lo, hi in zip(lows, highs)), initial=0))
+        return scale, lows, highs, cum
+
+    def _scaled_measure_below(self, n: int, d: int) -> int:
+        """S * d * |E ∩ [0, n/d)| for 0 <= n/d <= 1, as an exact integer."""
+        scale, lows, highs, cum = self._scaled
+        x = n * scale
+        # lows are integers, so low <= x/d exactly when low <= floor(x/d)
+        i = bisect_right(lows, x // d) - 1
+        if i < 0:
+            return 0
+        return cum[i] * d + min(x, highs[i] * d) - lows[i] * d
+
     def is_empty(self) -> bool:
         return not self.intervals
 
@@ -155,19 +182,20 @@ class ArcSet:
             out.append((cursor, ONE))
         return ArcSet(tuple(out))
 
-    def intersect_interval(self, lo, hi) -> "ArcSet":
-        lo, hi = Fraction(lo), Fraction(hi)
-        out = []
-        for a, b in self.intervals:
-            c, d = max(a, lo), min(b, hi)
-            if c < d:
-                out.append((c, d))
-        return ArcSet(tuple(out))
-
     def intersect(self, other: "ArcSet") -> "ArcSet":
+        """One merge pass over the two sorted interval lists."""
         out = []
-        for lo, hi in other.intervals:
-            out.extend(self.intersect_interval(lo, hi).intervals)
+        mine, theirs = self.intervals, other.intervals
+        i = j = 0
+        while i < len(mine) and j < len(theirs):
+            (a, b), (c, d) = mine[i], theirs[j]
+            lo, hi = max(a, c), min(b, d)
+            if lo < hi:
+                out.append((lo, hi))
+            if b <= d:
+                i += 1
+            else:
+                j += 1
         return ArcSet.from_pairs(out)
 
     def union(self, other: "ArcSet") -> "ArcSet":
@@ -229,25 +257,42 @@ class ArcSet:
 
 
 def intersect_measure(E: ArcSet, q) -> Fraction:
-    """Exact measure of the intersection of E with a dyadic arc / arc / pair."""
-    return sum((E.intersect_interval(lo, hi).measure for lo, hi in _wrapped_pieces(q)),
-               ZERO)
+    """Exact measure of the intersection of E with a dyadic arc / arc / pair.
+
+    Each piece [lo, hi) of q is F(hi) - F(lo) for the cumulative measure
+    F(t) = |E ∩ [0, t)|, one bisection each; everything stays in integers
+    over a common denominator until the one Fraction returned.
+    """
+    if isinstance(q, DyadicArc):   # never wraps
+        d = 1 << q.level
+        spans = ((q.index, q.index + 1),)
+    else:
+        pieces = _wrapped_pieces(q)
+        d = lcm(*(t.denominator for piece in pieces for t in piece))
+        spans = tuple((lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator))
+                      for lo, hi in pieces)
+    total = sum(E._scaled_measure_below(hi, d) - E._scaled_measure_below(lo, d)
+                for lo, hi in spans)
+    return Fraction(total, E._scaled[0] * d)
 
 
 def _stopping_arcs(E: ArcSet, stop, descend) -> list[DyadicArc]:
-    """The maximal dyadic arcs q with ``stop(q, |q ∩ E|)``, found by descending
+    """The maximal dyadic arcs q with ``stop(num, den)``, found by descending
     from the whole circle into the children of every arc that does not stop
-    but satisfies ``descend(q, |q ∩ E|)``; sorted by (level, index).  Raises
-    DepthCapError when some arc still descends at MAX_DEPTH."""
+    but satisfies ``descend(num, den)``; sorted by (level, index).  Both
+    predicates see the relative measure |q ∩ E| / |q| = num / den as two
+    integers, so they compare cross-multiplied.  Raises DepthCapError when
+    some arc still descends at MAX_DEPTH."""
     stopping: list[DyadicArc] = []
     unresolved: list[DyadicArc] = []
     stack = [DyadicArc(0, 0)]
     while stack:
         q = stack.pop()
         inter = intersect_measure(E, q)
-        if stop(q, inter):
+        num, den = inter.numerator << q.level, inter.denominator
+        if stop(num, den):
             stopping.append(q)
-        elif descend(q, inter):
+        elif descend(num, den):
             if q.level >= MAX_DEPTH:
                 unresolved.append(q)
             else:
@@ -282,11 +327,13 @@ def density_core(E: ArcSet, snap: bool = True) -> DensityCoreResult:
     if snap:
         E, changed = E.snapped()
     if E.measure == 0:
-        raise ValueError("density_core needs a set of positive measure")
-    lam = 1 - E.measure / 2
-    # the complement's share of q is q.measure - inter
-    stopping = _stopping_arcs(E, lambda q, inter: q.measure - inter > lam * q.measure,
-                              lambda q, inter: inter < q.measure)
+        snap_note = f" after the snap to multiples of 2^-{SNAP_LEVEL}" if changed else ""
+        raise ValueError(f"density_core needs a set of positive measure, got |E| = 0{snap_note}")
+    share = E.measure / 2
+    lam = 1 - share
+    # the complement's share of q exceeds lam |q| exactly when E's is below share |q|
+    stopping = _stopping_arcs(E, lambda num, den: num * share.denominator < share.numerator * den,
+                              lambda num, den: num < den)
     removed = ArcSet.from_pairs([(q.low, q.high) for q in stopping])
     core = E.difference(removed)
     if core.measure <= 0:
@@ -299,17 +346,21 @@ def verify_density_bound(result: DensityCoreResult, max_k: int = 12,
     """Exact checks of |I(r zeta) ∩ E| / |I(r zeta)| >= |E|/8 on a ladder.
 
     Arcs of length 2**-k (k = 1..max_k) are centered at sampled core points;
-    all comparisons are exact rational arithmetic.
+    all comparisons are exact, in integers cross-multiplied.
     """
     E = result.source
-    target = E.measure  # compare 8*|I∩E| >= |E|*|I| cross-multiplied
+    target = E.measure
     checks = []
     for zeta in result.core.interior_sample_angles(points):
         for k in range(1, max_k + 1):
-            length = Fraction(1, 2 ** k)
-            lo = zeta - length / 2
-            inter = intersect_measure(E, (lo, lo + length))
-            ok = 8 * inter >= target * length
+            # I = zeta -+ 2^-(k+1), over the denominator of zeta times 2^(k+1)
+            den = zeta.denominator << (k + 1)
+            mid = zeta.numerator << (k + 1)
+            inter = intersect_measure(E, (Fraction(mid - zeta.denominator, den),
+                                          Fraction(mid + zeta.denominator, den)))
+            # 8 |I ∩ E| >= |E| |I| with |I| = 2^-k
+            ok = (8 * inter.numerator * target.denominator << k
+                  >= target.numerator * inter.denominator)
             checks.append({
                 "zeta": [zeta.numerator, zeta.denominator],
                 "k": k,
@@ -349,8 +400,8 @@ def wik_decomposition(E: ArcSet, lam, snap: bool = True) -> WikResult:
     if E.measure > lam:
         raise ValueError(f"need |E| <= lambda, got |E| = {E.measure} > {lam}")
     half = lam / 2
-    selected = _stopping_arcs(E, lambda q, inter: inter >= half * q.measure,
-                              lambda q, inter: inter > 0)
+    selected = _stopping_arcs(E, lambda num, den: num * half.denominator >= half.numerator * den,
+                              lambda num, den: num > 0)
     covered = ArcSet.from_pairs([(q.low, q.high) for q in selected])
     residue = E.difference(covered).measure
     return WikResult(E, lam, tuple(selected), residue, changed)

@@ -135,6 +135,42 @@ def gamma_closed_form(b, a) -> float:
     return gamma_gap(_as_gap(b), _as_gap(a))
 
 
+def _base_terms(bases: tuple) -> tuple:
+    """The a-independent terms of ``pair_integral`` for every pair of bases:
+    gb = 1 - |b|^2, b, conj(b) and the table 1 - conj(b_j) b_k."""
+    gb = [b.gap * (2.0 - b.gap) for b in bases]
+    bv = [(1.0 - b.gap) * _phase(b.turns) for b in bases]
+    bv_conj = [np.conj(v) for v in bv]
+    one_m_bc = [[one_minus_product(b.gap, c.gap, c.turns - b.turns) for c in bases]
+                for b in bases]
+    return gb, bv, bv_conj, one_m_bc
+
+
+def _point_terms(bases: tuple, a: GapPoint) -> tuple:
+    """The terms of ``pair_integral`` at a: a, conj(a), and for every base b
+    1 - conj(b) a, 1 - b conj(a) and the geometric sums
+    1 + conj(b) a / (1 - conj(b) a) and b conj(a) / (1 - b conj(a))."""
+    av = (1.0 - a.gap) * _phase(a.turns)
+    one_m_ba = [one_minus_product(b.gap, a.gap, a.turns - b.turns) for b in bases]
+    one_m_ca = [one_minus_product(c.gap, a.gap, c.turns - a.turns) for c in bases]
+    geo_ba = [1.0 + (1.0 - b.gap) * (1.0 - a.gap) * _phase(a.turns - b.turns) / d
+              for b, d in zip(bases, one_m_ba)]
+    geo_ca = [(1.0 - c.gap) * (1.0 - a.gap) * _phase(c.turns - a.turns) / d
+              for c, d in zip(bases, one_m_ca)]
+    return av, np.conj(av), one_m_ba, one_m_ca, geo_ba, geo_ca
+
+
+def _pair(base: tuple, point: tuple, j: int, k: int) -> complex:
+    """``pair_integral(b_j, b_k, a)`` from the terms of ``_base_terms`` and
+    ``_point_terms``."""
+    gb, bv, bv_conj, one_m_bc = base
+    av, av_conj, one_m_ba, one_m_ca, geo_ba, geo_ca = point
+    return (bv[j] * bv_conj[k]
+            - bv[j] * gb[k] * av_conj / one_m_ca[k]
+            - bv_conj[k] * gb[j] * av / one_m_ba[j]
+            + gb[j] * gb[k] * (geo_ba[j] + geo_ca[k]) / one_m_bc[j][k])
+
+
 def pair_integral(b: GapPoint, c: GapPoint, a: GapPoint) -> complex:
     """Poisson integral of sigma_b conj(sigma_c) at a, in closed form.
 
@@ -149,34 +185,28 @@ def pair_integral(b: GapPoint, c: GapPoint, a: GapPoint) -> complex:
     from gaps, so the formula survives base points far beyond double
     resolution.
     """
-    gb = b.gap * (2.0 - b.gap)
-    gc = c.gap * (2.0 - c.gap)
-    bv = (1.0 - b.gap) * _phase(b.turns)
-    cv = (1.0 - c.gap) * _phase(c.turns)
-    av = (1.0 - a.gap) * _phase(a.turns)
-    ba = (1.0 - b.gap) * (1.0 - a.gap) * _phase(a.turns - b.turns)   # conj(b) a
-    ca = (1.0 - c.gap) * (1.0 - a.gap) * _phase(c.turns - a.turns)   # c conj(a)
-    one_m_ba = one_minus_product(b.gap, a.gap, a.turns - b.turns)
-    one_m_ca = one_minus_product(c.gap, a.gap, c.turns - a.turns)
-    one_m_bc = one_minus_product(b.gap, c.gap, c.turns - b.turns)
-    return (bv * np.conj(cv)
-            - bv * gc * np.conj(av) / one_m_ca
-            - np.conj(cv) * gb * av / one_m_ba
-            + gb * gc * (1.0 + ba / one_m_ba + ca / one_m_ca) / one_m_bc)
+    bases = (b, c)
+    return _pair(_base_terms(bases), _point_terms(bases, a), 0, 1)
 
 
-def gamma_combination(bases: tuple, lam: tuple, a: GapPoint) -> float:
+def gamma_combination(bases: tuple, lam: tuple, a: GapPoint,
+                      terms: tuple | None = None) -> float:
     """gamma(sum lambda_k (sigma_{b_k} - b_k), a) in closed form.
 
     Uses gamma(g, a)^2 = ||g . sigma_a||^2 - |g(a)|^2 for g = sum lambda_k
-    sigma_{b_k} (additive constants do not change gamma).
+    sigma_{b_k} (additive constants do not change gamma).  ``terms`` is
+    ``_base_terms(bases)``, passed by callers that evaluate many points.
     """
+    if terms is None:
+        terms = _base_terms(bases)
+    point = _point_terms(bases, a)
     sigmas = [gap_sigma(b, a) for b in bases]
     ga = sum(l * s for l, s in zip(lam, sigmas))
+    lam_conj = [np.conj(lk) for lk in lam]
     total = 0.0
     for j, lj in enumerate(lam):
-        for k, lk in enumerate(lam):
-            total += (lj * np.conj(lk) * pair_integral(bases[j], bases[k], a)).real
+        for k, lk_conj in enumerate(lam_conj):
+            total += (lj * lk_conj * _pair(terms, point, j, k)).real
     return math.sqrt(max(total - abs(ga) ** 2, 0.0))
 
 
@@ -383,9 +413,10 @@ def combination_seminorm(cert: SelectionCertificate, lam, depth: int = 12,
         raise ValueError("combination needs a nonzero coefficient sequence")
     bases = cert.base_points[: len(lam)]
     grid = standard_gap_grid(depth, angles) + tuple(cert.base_points)
+    terms = _base_terms(bases)
     best, arg = -1.0, grid[0]
     for a in grid:
-        val = gamma_combination(bases, lam, a)
+        val = gamma_combination(bases, lam, a, terms)
         if val > best:
             best, arg = val, a
     est = hardy.SeminormEstimate(

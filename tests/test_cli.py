@@ -317,6 +317,20 @@ class TestCliCommands:
         arcset.write_text("[[0, 1, 1, 4]]")
         assert cli.main(["decompose", "--mode", "wik", "--set", str(arcset)]) == 4
 
+    def test_wik_precondition_exits_4(self, tmp_path, capsys):
+        # the snap to 2^-20 leaves |E| = 559241/1048576 > 1/2
+        arcset = tmp_path / "set.json"
+        arcset.write_text("[[1, 3, 2, 3], [7, 10, 9, 10]]")
+        assert cli.main(["decompose", "--mode", "wik", "--lambda", "1/2",
+                         "--set", str(arcset)]) == 4
+        assert "|E| = 559241/1048576 > 1/2" in capsys.readouterr().err
+
+    def test_density_of_a_set_snapped_to_measure_zero_exits_4(self, tmp_path, capsys):
+        arcset = tmp_path / "set.json"
+        arcset.write_text("[[0, 1, 1, 4000000]]")
+        assert cli.main(["decompose", "--mode", "density", "--set", str(arcset)]) == 4
+        assert "|E| = 0 after the snap" in capsys.readouterr().err
+
     def test_leibov_command(self, tmp_path):
         out = tmp_path / "cert.json"
         assert cli.main(["leibov", "--depth", "3", "--count", "60",

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -66,6 +67,59 @@ class TestIntersectMeasure:
     def test_quarter_in_half(self):
         e = dy.ArcSet.from_pairs([(0, F(1, 4))])
         assert dy.intersect_measure(e, dy.DyadicArc(1, 0)) == F(1, 4)
+
+    def test_empty_query_at_a_whole_turn(self):
+        # [0, 0) is empty; it used to wrap to the whole circle
+        assert dy.intersect_measure(dy.ArcSet.full(), (0, 0)) == 0
+        assert dy.ArcSet.from_arc((1, 1)).is_empty()
+
+
+def naive_intersect_measure(e, lo, hi):
+    """|E ∩ ([lo, hi) mod 1)| by overlapping every interval of E, shifted by
+    every whole turn the query spans, with the query."""
+    lo, hi = F(lo), F(hi)
+    if hi - lo >= 1:
+        return e.measure
+    total = F(0)
+    for shift in range(math.floor(lo) - 1, math.ceil(hi) + 1):
+        for a, b in e.intervals:
+            overlap = min(b + shift, hi) - max(a + shift, lo)
+            if overlap > 0:
+                total += overlap
+    return total
+
+
+def mixed_fraction(lo=0, hi=1):
+    """Rationals in [lo, hi] over dyadic, third, fifth and other denominators."""
+    return st.sampled_from([2 ** 10, 2 ** 20, 3, 5, 6, 15, 7 * 2 ** 5]).flatmap(
+        lambda d: st.integers(lo * d, hi * d).map(lambda n: F(n, d)))
+
+
+mixed_arc_sets = st.lists(
+    st.tuples(mixed_fraction(), mixed_fraction()).map(lambda p: tuple(sorted(p))),
+    min_size=0, max_size=8,
+).map(lambda pairs: dy.ArcSet.from_pairs([p for p in pairs if p[0] < p[1]]))
+
+
+class TestIntersectMeasureOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(mixed_arc_sets, mixed_fraction(-2, 2), mixed_fraction(0, 3))
+    def test_pairs_match_the_naive_overlap_sum(self, e, lo, length):
+        # covers wrapping past 0 and queries of length >= 1
+        assert dy.intersect_measure(e, (lo, lo + length)) == naive_intersect_measure(
+            e, lo, lo + length)
+
+    @settings(max_examples=300, deadline=None)
+    @given(mixed_arc_sets, st.integers(0, dy.MAX_DEPTH).flatmap(
+        lambda k: st.integers(0, 2 ** k - 1).map(lambda i: dy.DyadicArc(k, i))))
+    def test_dyadic_arcs_match_the_naive_overlap_sum(self, e, q):
+        assert dy.intersect_measure(e, q) == naive_intersect_measure(e, q.low, q.high)
+
+    def test_deep_arc_inside_a_third(self):
+        e = dy.ArcSet.from_pairs([(F(1, 3), F(2, 3))])
+        q = dy.DyadicArc(dy.MAX_DEPTH, 2 ** dy.MAX_DEPTH // 3)   # straddles 1/3
+        assert dy.intersect_measure(e, q) == naive_intersect_measure(e, q.low, q.high)
+        assert 0 < dy.intersect_measure(e, q) < q.measure
 
 
 class TestDyadicArc:

@@ -145,3 +145,76 @@ class TestCombination:
             sup = max(abs(c) for c in lam)
             est = lb.combination_seminorm(cert, lam)
             assert 0.25 * sup <= est.value <= 2.0 * sup + 1e-6
+
+
+def reference_pair_integral(b, c, a):
+    """The pair integral as one scalar expression: the reference that the
+    shared per-base / per-point kernel behind ``lb.pair_integral`` must
+    reproduce bit for bit."""
+    gb = b.gap * (2.0 - b.gap)
+    gc = c.gap * (2.0 - c.gap)
+    bv = (1.0 - b.gap) * lb._phase(b.turns)
+    cv = (1.0 - c.gap) * lb._phase(c.turns)
+    av = (1.0 - a.gap) * lb._phase(a.turns)
+    ba = (1.0 - b.gap) * (1.0 - a.gap) * lb._phase(a.turns - b.turns)
+    ca = (1.0 - c.gap) * (1.0 - a.gap) * lb._phase(c.turns - a.turns)
+    one_m_ba = lb.one_minus_product(b.gap, a.gap, a.turns - b.turns)
+    one_m_ca = lb.one_minus_product(c.gap, a.gap, c.turns - a.turns)
+    one_m_bc = lb.one_minus_product(b.gap, c.gap, c.turns - b.turns)
+    return (bv * np.conj(cv)
+            - bv * gc * np.conj(av) / one_m_ca
+            - np.conj(cv) * gb * av / one_m_ba
+            + gb * gc * (1.0 + ba / one_m_ba + ca / one_m_ca) / one_m_bc)
+
+
+def oracle_gamma_combination(bases, lam, a):
+    """gamma of the combination by the double loop over ``pair_integral``."""
+    sigmas = [lb.gap_sigma(b, a) for b in bases]
+    ga = sum(l * s for l, s in zip(lam, sigmas))
+    total = 0.0
+    for j, lj in enumerate(lam):
+        for k, lk in enumerate(lam):
+            total += (lj * np.conj(lk) * lb.pair_integral(bases[j], bases[k], a)).real
+    return math.sqrt(max(total - abs(ga) ** 2, 0.0))
+
+
+class TestKernelBitIdentity:
+    """The kernels on the depth-6 certificate equal their scalar references
+    exactly (``==``), not within a tolerance."""
+
+    @pytest.fixture(scope="class")
+    def lams(self):
+        rng = np.random.default_rng(20260813)
+        return [tuple(complex(rng.normal(), rng.normal()) for _ in range(1 + i % 6))
+                for i in range(20)]
+
+    @pytest.fixture(scope="class")
+    def grid(self, cert):
+        return lb.standard_gap_grid(12, 64) + tuple(cert.base_points)
+
+    def test_pair_integral_is_the_scalar_formula(self, cert, grid):
+        for a in grid[::31]:
+            for b in cert.base_points:
+                for c in cert.base_points:
+                    assert lb.pair_integral(b, c, a) == reference_pair_integral(b, c, a)
+
+    def test_gamma_combination_is_the_double_loop(self, cert, grid, lams):
+        for i, lam in enumerate(lams):
+            bases = cert.base_points[: len(lam)]
+            points = grid if i == 5 else grid[i::13]
+            for a in points:
+                assert lb.gamma_combination(bases, lam, a) == oracle_gamma_combination(
+                    bases, lam, a)
+
+    @pytest.mark.parametrize("index", [2, 5])
+    def test_seminorm_value_and_argmax(self, cert, grid, lams, index):
+        lam = lams[index]
+        bases = cert.base_points[: len(lam)]
+        best, arg = -1.0, grid[0]
+        for a in grid:
+            val = oracle_gamma_combination(bases, lam, a)
+            if val > best:
+                best, arg = val, a
+        est = lb.combination_seminorm(cert, lam)
+        assert est.value == best
+        assert est.argmax == arg.value
