@@ -10,7 +10,9 @@ Subcommands:
 Exit codes: 0 success, 2 gallery verdict mismatch, 3 inconsistent
 equivalence diagnostics (or failed identities, or quadrature routes that
 do not agree at some witness point), 4 configuration errors (including
-``decompose`` inputs that violate a construction's precondition).
+``decompose`` inputs that violate a construction's precondition, S1 on a
+symbol that does not lower, a Leibov ladder too short for the depth, and
+files that cannot be read or written).
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from . import nevanlinna as nev
 from . import sweep as sweep_mod
 from . import symbols as sym
 from .gallery import DEFAULT_KINDS, EXTRA_KINDS, GALLERY, run_gallery
-from .hardy import BASE_N, QuadratureError, garsia_gamma
+from .hardy import BASE_N, MAX_GRID, QuadratureError, garsia_gamma
 from .sweep import ConfigError, SweepConfig
 
 EXIT_OK = 0
@@ -42,6 +44,18 @@ EXIT_CONFIG = 4
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ConfigError(message)
+
+
+def _int_in(lo: int, hi: float = math.inf):
+    """The argparse type of an integer in lo..hi."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if not lo <= value <= hi:
+            span = f"in {lo}..{hi}" if hi < math.inf else f">= {lo}"
+            raise argparse.ArgumentTypeError(f"{value} is not {span}")
+        return value
+    parse.__name__ = "int"     # argparse names it in "invalid int value: ..."
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -71,15 +85,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="output JSON path (default: stdout)")
 
     p = sub.add_parser("leibov", help="build a c0-selection certificate")
-    p.add_argument("--depth", type=int, default=6)
-    p.add_argument("--count", type=int, default=130,
+    p.add_argument("--depth", type=_int_in(0), default=6)
+    # the gap 2^-count of the last base point underflows past 2^-1074
+    p.add_argument("--count", type=_int_in(1, 1074), default=130,
                    help="length of the geometric base-point ladder")
     p.add_argument("--out", default=None, help="output JSON path (default: stdout)")
 
     p = sub.add_parser("identities", help="cross-module identity suite on the gallery")
-    p.add_argument("--n", type=int, default=BASE_N, help="base boundary grid size")
-    p.add_argument("--points", type=int, default=20, help="random base points per run")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", type=_int_in(64, MAX_GRID), default=BASE_N,
+                   help="base boundary grid size")
+    p.add_argument("--points", type=_int_in(1), default=20, help="random base points per run")
+    p.add_argument("--seed", type=_int_in(0), default=0)
     p.add_argument("--tol", type=float, default=1e-8)
     return parser
 
@@ -89,11 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 def _cmd_sweep(args) -> int:
-    try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            config = SweepConfig.from_json(fh.read())
-    except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from exc
+    with open(args.config, "r", encoding="utf-8") as fh:
+        config = SweepConfig.from_json(fh.read())
     result = sweep_mod.run_sweep(config)
     print(f"wrote {result.csv_path}")
     print(f"wrote {result.verdict_path}")
@@ -132,12 +145,23 @@ def _parse_fraction(text: str) -> Fraction:
         raise ConfigError(f"bad rational {text!r}: {exc}") from exc
 
 
+def _emit(payload: dict, out: str | None) -> None:
+    """Write the payload as sorted JSON to ``out``, or to stdout."""
+    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    if out:
+        with open(out, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        print(f"wrote {out}")
+    else:
+        sys.stdout.write(text)
+
+
 def _cmd_decompose(args) -> int:
+    with open(args.set_path, "r", encoding="utf-8") as fh:
+        text = fh.read()
     try:
-        with open(args.set_path, "r", encoding="utf-8") as fh:
-            rows = json.load(fh)
-        arcs = dyadic.ArcSet.from_json(rows)
-    except (OSError, ValueError) as exc:
+        arcs = dyadic.ArcSet.from_json(json.loads(text))
+    except (ValueError, RecursionError) as exc:   # not JSON, too deep, or not arc rows
         raise ConfigError(f"cannot read arc set: {exc}") from exc
     if args.mode == "wik":
         if args.lam is None:
@@ -176,13 +200,7 @@ def _cmd_decompose(args) -> int:
                 "all_ok": all(c["ok"] for c in checks),
             },
         }
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
+    _emit(payload, args.out)
     ver = payload["verification"]
     ok = ver.get("all_ok", ver.get("sandwich_ok") and ver.get("residue_zero"))
     return EXIT_OK if ok else EXIT_INCONSISTENT
@@ -192,13 +210,7 @@ def _cmd_leibov(args) -> int:
     seq = leibov.TestSequence.geometric(args.count)
     cert = leibov.select_subsequence(seq, args.depth)
     payload = cert.to_json()
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
+    _emit(payload, args.out)
     return EXIT_OK if payload["verified"] else EXIT_INCONSISTENT
 
 
@@ -247,30 +259,21 @@ def _cmd_identities(args) -> int:
     return EXIT_OK
 
 
+_COMMANDS = {"sweep": _cmd_sweep, "gallery": _cmd_gallery, "decompose": _cmd_decompose,
+             "leibov": _cmd_leibov, "identities": _cmd_identities}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "gallery":
-            return _cmd_gallery(args)
-        if args.command == "decompose":
-            return _cmd_decompose(args)
-        if args.command == "leibov":
-            return _cmd_leibov(args)
-        if args.command == "identities":
-            return _cmd_identities(args)
-        raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as exc:
+        return _COMMANDS[args.command](args)
+    except (ConfigError, OSError, nev.RationalFormError, leibov.SelectionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except QuadratureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

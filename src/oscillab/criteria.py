@@ -28,7 +28,9 @@ into exit code 3.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+import numbers
+import sys
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -50,9 +52,39 @@ ARC_SAMPLES = 128
 S2_BOUNDARY_N = 8192
 
 
+class ConfigError(ValueError):
+    """Invalid sweep settings, sweep configuration or CLI input."""
+
+
+#: the deepest ladder (levels 1 - 2^-k, k <= depth) a sweep or the gallery accepts
+MAX_DEPTH = 24
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    """A real number in the float range: NaN, the infinities and integers
+    beyond the float range fail."""
+    return (isinstance(x, numbers.Real) and not isinstance(x, bool)
+            and -sys.float_info.max <= x <= sys.float_info.max)
+
+
+#: the check each scalar field must pass, by its declared type
+_TYPE_CHECKS = {"int": _is_int, "float": _is_real, "str": lambda x: isinstance(x, str),
+                "bool": lambda x: isinstance(x, bool),
+                "tuple": lambda x: isinstance(x, (list, tuple))}
+
+
 @dataclass(frozen=True)
 class SweepSettings:
-    """Grid geometry, ladders and thresholds shared by all profiles."""
+    """Grid geometry, ladders and thresholds shared by all profiles.
+
+    Every field is checked on construction, its type by the declared type
+    (a subclass's fields too) and its range below; a bad value raises
+    ConfigError.
+    """
 
     depth: int = 12             # ladder levels s_k = 1 - 2^-k, k <= depth
     angles: int = 64            # angular resolution of the a-grid
@@ -68,6 +100,42 @@ class SweepSettings:
     w1_powers: tuple = (1, 2, 4, 8, 16, 32, 64, 128)
     w2_angles: int = 16         # angular resolution of the w2 seminorm grid
     level_start: int = 4        # first ladder level reported in profiles
+
+    def __post_init__(self):
+        for f in fields(self):
+            check = _TYPE_CHECKS.get(f.type)
+            if check is not None and not check(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be of type {f.type}, "
+                                  f"got {getattr(self, f.name)!r}")
+        if not self.w1_powers or not all(_is_int(n) and 1 <= n <= 1024 for n in self.w1_powers):
+            raise ConfigError(f"w1_powers must be a nonempty list of integers in 1..1024, "
+                              f"got {list(self.w1_powers)}")
+        if not self.s2_radii or not all(_is_real(r) and 0.0 < r < 1.0 for r in self.s2_radii):
+            raise ConfigError(f"s2_radii must be a nonempty list of numbers in (0, 1), "
+                              f"got {list(self.s2_radii)}")
+        object.__setattr__(self, "s2_radii", tuple(float(r) for r in self.s2_radii))
+        object.__setattr__(self, "w1_powers", tuple(int(n) for n in self.w1_powers))
+        if not 1 <= self.level_start <= self.depth <= MAX_DEPTH:
+            raise ConfigError(f"need 1 <= level_start <= depth <= {MAX_DEPTH}, got "
+                              f"{self.level_start}, {self.depth}")
+        for name in ("angles", "w2_angles"):
+            if not 4 <= getattr(self, name) <= 4096:
+                raise ConfigError(f"{name} must lie in 4..4096, got {getattr(self, name)}")
+        if not 64 <= self.base_n <= hardy.MAX_GRID or self.base_n & (self.base_n - 1):
+            raise ConfigError(f"base_n must be a power of two in 64..{hardy.MAX_GRID}, "
+                              f"got {self.base_n}")
+        if not 64 <= self.arc_samples <= 1024:
+            raise ConfigError(f"arc_samples must lie in 64..1024, got {self.arc_samples}")
+        if not 64 <= self.s2_boundary_n <= hardy.MAX_GRID:
+            raise ConfigError(f"s2_boundary_n must lie in 64..{hardy.MAX_GRID}, "
+                              f"got {self.s2_boundary_n}")
+        if not 0.0 < self.delta <= self.epsilon < 1.0:
+            raise ConfigError(f"need 0 < delta <= epsilon < 1, got "
+                              f"{self.delta}, {self.epsilon}")
+        if not 0.0 < self.s2_epsilon < 1.0:
+            raise ConfigError(f"s2_epsilon must lie in (0, 1), got {self.s2_epsilon}")
+        if self.tau_cap <= 0 or self.tau_power <= 0:
+            raise ConfigError("tau_cap and tau_power must be positive")
 
     def levels(self) -> list[tuple[int, float]]:
         return [(k, 1.0 - 2.0 ** -k) for k in range(self.level_start, self.depth + 1)]
@@ -206,16 +274,12 @@ def composite_norm_routes(phi: sym.Symbol, a: complex,
 # arc statistics
 # ---------------------------------------------------------------------------
 
-def _check_arc_samples(phi: sym.Symbol, samples: int) -> None:
-    """Arc averages need phi certified and at least 64 samples per arc."""
+def _arc_values(phi: sym.Symbol, arc: Arc, samples: int) -> np.ndarray:
+    """phi at the midpoint-rule samples of the arc; arc averages need phi
+    certified and at least 64 samples per arc."""
     if samples < 64:
         raise ValueError(f"arc under-resolved: need >= 64 samples, got {samples}")
     sym.certificate(phi)
-
-
-def _arc_values(phi: sym.Symbol, arc: Arc, samples: int) -> np.ndarray:
-    """phi at the midpoint-rule samples of the arc."""
-    _check_arc_samples(phi, samples)
     return phi.eval(arc.sample_points(samples))
 
 
@@ -372,9 +436,8 @@ class CriterionSweep:
     def arc_values(self) -> np.ndarray:
         """phi on the arc samples of I(a), one row per grid point a."""
         if self._arc_values is None:
-            samples = self.settings.arc_samples
-            _check_arc_samples(self.phi, samples)
-            self._arc_values = self.phi.eval(arc_sample_points(self.grid, samples))
+            self._arc_values = self.phi.eval(
+                arc_sample_points(self.grid, self.settings.arc_samples))
         return self._arc_values
 
     def arc_means(self) -> np.ndarray:
@@ -514,12 +577,10 @@ class CriterionSweep:
 
         The level sets are nested, so the statistic is computed once at the
         witnesses of the first level, and every level takes its maximum from
-        those values.  A ladder without levels (depth < level_start) gives
-        an empty profile.
+        those values.
         """
         level_sets = self._level_sets(np.abs(self.phi_at_grid))
-        levels = self.settings.levels()
-        first = level_sets(*levels[0]) if levels else np.empty(0, dtype=int)
+        first = level_sets(*self.settings.levels()[0])
         results = nev.s1_statistics(self.phi, self.grid[first]) if len(first) else []
         values = np.full(len(self.grid), -1.0)
         values[first] = [r.value for r in results]

@@ -23,6 +23,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from math import lcm
+from numbers import Integral
 from typing import Iterable, Sequence
 
 from .geometry import Arc
@@ -79,33 +80,25 @@ class DyadicArc:
         return self.low <= other.low and other.high <= self.high
 
 
-def _as_interval(q) -> tuple[Fraction, Fraction]:
-    if isinstance(q, DyadicArc):
-        return q.low, q.high
-    if isinstance(q, Arc):
-        lo, hi = q.span()
-        return Fraction(lo), Fraction(hi)
-    lo, hi = q
-    return Fraction(lo), Fraction(hi)
-
-
-def _wrapped_pieces(q) -> list[tuple[Fraction, Fraction]]:
-    """The [lo, hi) pieces inside [0, 1) of an Arc / DyadicArc / pair taken
-    mod 1: none, one, or two when it wraps past 0."""
-    lo, hi = _as_interval(q)
+def _wrapped_spans(q) -> tuple[int, list[tuple[int, int]]]:
+    """(d, spans): the [lo, hi) pieces inside [0, 1) of an Arc / DyadicArc /
+    pair taken mod 1, as integer spans in units of 1/d: none, one, or two
+    when it wraps past 0."""
+    if isinstance(q, DyadicArc):   # never wraps
+        return 1 << q.level, [(q.index, q.index + 1)]
+    lo, hi = (Fraction(t) for t in (q.span() if isinstance(q, Arc) else q))
+    d = lcm(lo.denominator, hi.denominator)
+    lo, hi = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
     if hi == lo:
-        return []
-    if hi - lo >= 1:
-        return [(ZERO, ONE)]
-    lo = lo % 1
-    hi = hi % 1
-    if hi == 0:
-        hi = ONE
+        return d, []
+    if hi - lo >= d:
+        return d, [(0, d)]
+    lo, hi = lo % d, hi % d or d
     if lo < hi:
-        return [(lo, hi)]
+        return d, [(lo, hi)]
     if lo == hi:
-        return []
-    return [(lo, ONE), (ZERO, hi)]
+        return d, []
+    return d, [(lo, d), (0, hi)]
 
 
 @dataclass(frozen=True)
@@ -137,7 +130,8 @@ class ArcSet:
     @staticmethod
     def from_arc(arc) -> "ArcSet":
         """Wrap-aware conversion of an Arc / DyadicArc / pair into a set."""
-        return ArcSet.from_pairs(_wrapped_pieces(arc))
+        d, spans = _wrapped_spans(arc)
+        return ArcSet.from_pairs((Fraction(lo, d), Fraction(hi, d)) for lo, hi in spans)
 
     @staticmethod
     def full() -> "ArcSet":
@@ -248,10 +242,16 @@ class ArcSet:
 
     @staticmethod
     def from_json(rows) -> "ArcSet":
+        """The set of rows [num_lo, den_lo, num_hi, den_hi] of integers with
+        nonzero denominators; anything else raises ValueError."""
+        if not isinstance(rows, (list, tuple)):
+            raise ValueError(f"an arc set is a list of rows, got {rows!r}")
         pairs = []
         for row in rows:
-            if len(row) != 4:
-                raise ValueError(f"ArcSet row must be [num_lo, den_lo, num_hi, den_hi], got {row}")
+            if not (isinstance(row, (list, tuple)) and len(row) == 4
+                    and all(isinstance(x, Integral) for x in row) and row[1] and row[3]):
+                raise ValueError(f"ArcSet row must be [num_lo, den_lo, num_hi, den_hi], "
+                                 f"integers with nonzero denominators, got {row!r}")
             pairs.append((Fraction(row[0], row[1]), Fraction(row[2], row[3])))
         return ArcSet.from_pairs(pairs)
 
@@ -263,14 +263,7 @@ def intersect_measure(E: ArcSet, q) -> Fraction:
     F(t) = |E ∩ [0, t)|, one bisection each; everything stays in integers
     over a common denominator until the one Fraction returned.
     """
-    if isinstance(q, DyadicArc):   # never wraps
-        d = 1 << q.level
-        spans = ((q.index, q.index + 1),)
-    else:
-        pieces = _wrapped_pieces(q)
-        d = lcm(*(t.denominator for piece in pieces for t in piece))
-        spans = tuple((lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator))
-                      for lo, hi in pieces)
+    d, spans = _wrapped_spans(q)
     total = sum(E._scaled_measure_below(hi, d) - E._scaled_measure_below(lo, d)
                 for lo, hi in spans)
     return Fraction(total, E._scaled[0] * d)

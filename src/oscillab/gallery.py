@@ -20,13 +20,11 @@ task order so outputs are byte-identical for every worker count.
 from __future__ import annotations
 
 import functools
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import criteria as cr
 from . import symbols as sym
-from .sweep import MAX_DEPTH, ConfigError
 
 DEFAULT_KINDS = ("L", "S1", "A-double", "A-prime", "W2", "S2")
 
@@ -97,16 +95,8 @@ def _jobs(tasks) -> list[list]:
 
 
 def resolve_workers(workers: int | None) -> int:
-    """CLI argument first, then the OSCILLAB_WORKERS override, then one."""
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get("OSCILLAB_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"OSCILLAB_WORKERS must be an integer, got {env!r}") from None
-    return 1
+    """The worker count: ``workers``, at least one; one when it is None."""
+    return 1 if workers is None else max(1, int(workers))
 
 
 def compute_gallery_profiles(kinds=DEFAULT_KINDS, settings: cr.SweepSettings | None = None,
@@ -168,14 +158,12 @@ def run_gallery(kinds=DEFAULT_KINDS, settings: cr.SweepSettings | None = None,
                 workers: int | None = None) -> GalleryRun:
     """Compute profiles and verdicts for every entry; no file output here.
 
-    Raises ConfigError, before any profile runs, for a depth outside
-    1..MAX_DEPTH or kinds without L (the verdict needs it).
+    Raises ConfigError, before any profile runs, for kinds without L (the
+    verdict needs it).
     """
     settings = settings or cr.SweepSettings()
-    if not 1 <= settings.depth <= MAX_DEPTH:
-        raise ConfigError(f"gallery depth must lie in 1..{MAX_DEPTH}, got {settings.depth}")
     if "L" not in kinds:
-        raise ConfigError(f"the gallery verdict needs the L criterion, got {list(kinds)}")
+        raise cr.ConfigError(f"the gallery verdict needs the L criterion, got {list(kinds)}")
     profiles = compute_gallery_profiles(kinds, settings, workers)
     rows = tuple(
         GalleryRow(entry.name, entry.expected,

@@ -4,8 +4,9 @@ Moebius automorphisms that exchange 0 with an interior point, the
 pseudo-hyperbolic and hyperbolic metrics, the Poisson kernel, and the
 boundary arc attached to an interior point.  The low-level kernels
 (``moebius``, ``rho``, ``tau``, ``poisson_kernel``) accept scalars or numpy
-arrays and broadcast; the ``DiscPoint``-typed wrappers are the checked
-entry points used by the CLI layer and the tests.
+arrays and broadcast.  The ``DiscPoint``-typed wrappers (``moebius_eval``,
+``center_of``) check that their points lie in the closed disc; of them,
+only ``center_of`` has a caller in the package, the centred arc averages.
 
 Arc angles are stored in *turns* (fractions of a full revolution) as exact
 rationals so the dyadic set machinery can do exact measure arithmetic on

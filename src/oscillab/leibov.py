@@ -115,12 +115,16 @@ def one_minus_product(e1: float, e2: float, rel_turns: float) -> complex:
     return _one_minus_unimodular(rel_turns) + w * s
 
 
-def gap_sigma(b: GapPoint, a: GapPoint) -> complex:
-    """sigma_b(a) = (b - a)/(1 - conj(b) a) in gap-stable form."""
+def _sigma_over(b: GapPoint, a: GapPoint, den: complex) -> complex:
+    """sigma_b(a) from its denominator den = 1 - conj(b) a."""
     psi = a.turns - b.turns
     num = _one_minus_unimodular(psi) + _phase(psi) * a.gap - b.gap
-    den = one_minus_product(b.gap, a.gap, psi)
     return _phase(b.turns) * num / den
+
+
+def gap_sigma(b: GapPoint, a: GapPoint) -> complex:
+    """sigma_b(a) = (b - a)/(1 - conj(b) a) in gap-stable form."""
+    return _sigma_over(b, a, one_minus_product(b.gap, a.gap, a.turns - b.turns))
 
 
 def gamma_gap(b: GapPoint, a: GapPoint) -> float:
@@ -200,7 +204,7 @@ def gamma_combination(bases: tuple, lam: tuple, a: GapPoint,
     if terms is None:
         terms = _base_terms(bases)
     point = _point_terms(bases, a)
-    sigmas = [gap_sigma(b, a) for b in bases]
+    sigmas = [_sigma_over(b, a, den) for b, den in zip(bases, point[2])]
     ga = sum(l * s for l, s in zip(lam, sigmas))
     lam_conj = [np.conj(lk) for lk in lam]
     total = 0.0

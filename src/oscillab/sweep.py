@@ -10,35 +10,12 @@ how many workers computed the profiles.
 from __future__ import annotations
 
 import json
-import math
-import numbers
 import os
 from dataclasses import asdict, dataclass, fields
 
 from . import criteria as cr
 from . import symbols as sym
-
-
-class ConfigError(ValueError):
-    """Invalid sweep configuration or CLI input."""
-
-
-#: the deepest ladder (levels 1 - 2^-k, k <= depth) a sweep or the gallery accepts
-MAX_DEPTH = 24
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
-
-
-def _is_real(x) -> bool:
-    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
-
-
-#: the check each scalar config field must pass, by its declared type
-_TYPE_CHECKS = {"int": _is_int, "float": _is_real, "str": lambda x: isinstance(x, str),
-                "bool": lambda x: isinstance(x, bool),
-                "tuple": lambda x: isinstance(x, (list, tuple))}
+from .criteria import ConfigError
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -53,51 +30,17 @@ class SweepConfig(cr.SweepSettings):
     plots: bool = False
 
     def __post_init__(self):
-        for f in fields(self):
-            check = _TYPE_CHECKS.get(f.type)
-            if check is not None and not check(getattr(self, f.name)):
-                raise ConfigError(f"{f.name} must be of type {f.type}, "
-                                  f"got {getattr(self, f.name)!r}")
-        if not self.w1_powers or not all(_is_int(n) and n >= 1 for n in self.w1_powers):
-            raise ConfigError(f"w1_powers must be a nonempty list of integers >= 1, "
-                              f"got {list(self.w1_powers)}")
-        if not self.s2_radii or not all(_is_real(r) and 0.0 < r < 1.0 for r in self.s2_radii):
-            raise ConfigError(f"s2_radii must be a nonempty list of numbers in (0, 1), "
-                              f"got {list(self.s2_radii)}")
+        super().__post_init__()
         if not self.criteria:
             raise ConfigError("no criteria selected")
         unknown = [k for k in self.criteria if k not in cr.PROFILE_KINDS]
         if unknown:
             raise ConfigError(f"unknown criteria {unknown}; known: {list(cr.PROFILE_KINDS)}")
         object.__setattr__(self, "criteria", tuple(self.criteria))
-        object.__setattr__(self, "s2_radii", tuple(float(r) for r in self.s2_radii))
-        object.__setattr__(self, "w1_powers", tuple(int(n) for n in self.w1_powers))
-        if not (1 <= self.level_start <= self.depth <= MAX_DEPTH):
-            raise ConfigError(f"need 1 <= level_start <= depth <= {MAX_DEPTH}, got "
-                              f"{self.level_start}, {self.depth}")
-        if self.angles < 4 or self.angles > 4096:
-            raise ConfigError(f"angles out of range: {self.angles}")
-        if self.w2_angles < 4 or self.w2_angles > 4096:
-            raise ConfigError(f"w2_angles out of range: {self.w2_angles}")
-        if self.base_n < 64 or self.base_n & (self.base_n - 1):
-            raise ConfigError(f"base_n must be a power of two >= 64, got {self.base_n}")
-        if self.arc_samples < 64:
-            raise ConfigError(f"arc_samples must be >= 64, got {self.arc_samples}")
-        if self.s2_boundary_n < 64:
-            raise ConfigError(f"s2_boundary_n must be >= 64, got {self.s2_boundary_n}")
-        if not (0.0 < self.delta <= self.epsilon < 1.0):
-            raise ConfigError(f"need 0 < delta <= epsilon < 1, got "
-                              f"{self.delta}, {self.epsilon}")
-        if self.tau_cap <= 0 or self.tau_power <= 0:
-            raise ConfigError("tau_cap and tau_power must be positive")
         try:
-            sym.symbol_from_json(self.symbol)
-        except sym.SymbolError as exc:
-            raise ConfigError(f"bad symbol description: {exc}") from exc
-
-    def settings(self) -> cr.SweepSettings:
-        return cr.SweepSettings(**{f.name: getattr(self, f.name)
-                                   for f in fields(cr.SweepSettings)})
+            sym.certificate(sym.symbol_from_json(self.symbol))
+        except (sym.SymbolError, sym.NotSelfMapError) as exc:
+            raise ConfigError(f"bad symbol: {exc}") from exc
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
@@ -211,16 +154,11 @@ class SweepResult:
 def run_sweep(config: SweepConfig) -> SweepResult:
     """Compute the configured profiles, write CSV + verdict JSON."""
     phi = sym.symbol_from_json(config.symbol)
-    try:
-        sym.certificate(phi)
-    except sym.NotSelfMapError as exc:
-        raise ConfigError(f"symbol is not a self-map: {exc}") from exc
-    settings = config.settings()
-    sweepper = cr.CriterionSweep(phi, settings)
+    sweepper = cr.CriterionSweep(phi, config)
     profiles = {kind: sweepper.profile(kind) for kind in config.criteria}
     if "L" not in profiles:
         profiles["L"] = sweepper.profile("L")
-    report = cr.verdict(phi, profiles, settings)
+    report = cr.verdict(phi, profiles, config)
     os.makedirs(config.out_dir, exist_ok=True)
     csv_path = os.path.join(config.out_dir, "profiles.csv")
     verdict_path = os.path.join(config.out_dir, "verdict.json")

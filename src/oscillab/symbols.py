@@ -357,11 +357,12 @@ def validate_self_map(phi: Symbol, n: int = VALIDATION_GRID) -> SelfMapCertifica
     mods = np.abs(values)
     idx = int(np.argmax(mods))
     sup = float(mods[idx])
-    if sup > 1.0 + REJECT_MARGIN:
+    # negated comparisons, so that NaN boundary values are rejected too
+    if not sup <= 1.0 + REJECT_MARGIN:
         raise NotSelfMapError(
-            f"sup |phi| = {sup} > 1 on the boundary", witness=complex(zeta[idx]), sup=sup)
+            f"sup |phi| = {sup} on the boundary is not at most 1", witness=complex(zeta[idx]), sup=sup)
     center = abs(complex(phi.eval(0j)))
-    if center >= 1.0:
+    if not center < 1.0:
         raise NotSelfMapError(
             f"|phi(0)| = {center} is not interior; the map does not send the disc into itself",
             witness=0j, sup=sup)

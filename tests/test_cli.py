@@ -4,6 +4,7 @@ import os
 from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oscillab import cli
 from oscillab import criteria as cr
@@ -13,6 +14,34 @@ from oscillab.criteria import SweepSettings
 
 FAST = SweepSettings(depth=8, angles=16, w2_angles=8, s2_boundary_n=1024,
                      arc_samples=64, w1_powers=(1, 2, 4, 8))
+
+
+# JSON values for the config property: ints up to +-2^70 (small ones too, so
+# that some configs pass the range checks), floats with NaN and the
+# infinities, strings, bools, null, lists and random symbol trees
+_numbers = st.one_of(st.integers(-8, 80), st.integers(-2 ** 70, 2 ** 70),
+                     st.floats(allow_nan=True, allow_infinity=True))
+_scalars = st.one_of(_numbers, st.text(max_size=6), st.booleans(), st.none())
+_cx = st.one_of(st.lists(st.floats(-1.5, 1.5), min_size=2, max_size=2),
+                st.lists(_scalars, max_size=3), _scalars)
+
+
+def _node(kind, **parts):
+    return st.fixed_dictionaries({"kind": st.just(kind), **parts})
+
+
+symbol_trees = st.recursive(
+    st.one_of(_node("identity"), _node("const", value=_cx),
+              _node("poly", coefficients=st.lists(_cx, max_size=4)), _node("moebius", a=_cx),
+              _node("blaschke", factor=_cx, zeros=st.lists(_cx, max_size=3)),
+              st.dictionaries(st.text(max_size=6), _scalars, max_size=2)),
+    lambda inner: st.one_of(_node("compose", outer=inner, inner=inner),
+                            _node("scale", factor=_numbers, inner=inner)),
+    max_leaves=6)
+
+json_values = st.one_of(_scalars, st.lists(_scalars, min_size=1, max_size=4),
+                        st.recursive(st.one_of(_scalars, symbol_trees),
+                                     lambda inner: st.lists(inner, max_size=4), max_leaves=8))
 
 
 class TestSweepConfig:
@@ -58,7 +87,21 @@ class TestSweepConfig:
         defaults = SweepSettings()
         assert all(getattr(defaults, k) != v for k, v in values.items())
         cfg = sw.SweepConfig(symbol={"kind": "identity"}, **values)
-        assert cfg.settings() == SweepSettings(**values)
+        assert isinstance(cfg, SweepSettings)
+        assert {k: getattr(cfg, k) for k in values} == values
+        assert sw.SweepConfig.from_json(cfg.to_json()) == cfg
+
+    @settings(max_examples=500, deadline=None)
+    @given(symbol_trees, st.lists(st.tuples(
+        st.sampled_from([f.name for f in fields(sw.SweepConfig) if f.name != "symbol"]),
+        json_values), min_size=1, max_size=3).map(dict))
+    def test_from_json_returns_or_raises_config_error(self, symbol, data):
+        # few fields per config, so that many pass the type checks and reach
+        # the range checks and the symbol
+        try:
+            sw.SweepConfig.from_json(json.dumps({"symbol": symbol, **data}))
+        except sw.ConfigError:
+            pass
 
     def test_examples_parse(self):
         root = os.path.join(os.path.dirname(__file__), os.pardir, "examples")
@@ -94,10 +137,9 @@ class TestRunSweep(object):
         assert verdict["verdict"]["classification"] == "compact-evidence"
 
     def test_non_self_map_is_config_error(self, tmp_path):
-        cfg = sw.SweepConfig(symbol={"kind": "poly", "coefficients": [[0, 0], [2, 0]]},
-                             criteria=("L",), out_dir=str(tmp_path / "out"))
-        with pytest.raises(sw.ConfigError):
-            sw.run_sweep(cfg)
+        with pytest.raises(sw.ConfigError, match="not at most 1"):
+            sw.SweepConfig(symbol={"kind": "poly", "coefficients": [[0, 0], [2, 0]]},
+                           criteria=("L",), out_dir=str(tmp_path / "out"))
 
     def test_plots_emitted(self, tmp_path):
         cfg = sw.SweepConfig(symbol={"kind": "identity"}, criteria=("L",),
@@ -245,7 +287,9 @@ class TestCliCommands:
         '"w2_angles": "16"', '"tau_cap": "50"', '"w1_powers": ["x"]', '"w1_powers": [true]',
         '"s2_boundary_n": 0', '"angles": 8.5', '"plots": "no"', '"s2_radii": [0.5, 1.5]',
         '"s2_radii": ["0.5"]', '"s2_radii": []', '"criteria": "L"', '"out_dir": 3',
-        '"tau_cap": NaN'])
+        '"tau_cap": NaN', '"tau_cap": 1' + '0' * 400, '"base_n": 2097152',
+        '"s2_boundary_n": 1099511627776', '"arc_samples": 1048576',
+        '"w1_powers": [1000000000000]'])
     def test_mistyped_config_exits_4(self, tmp_path, field):
         path = tmp_path / "cfg.json"
         path.write_text('{"symbol": {"kind": "identity"}, "criteria": ["L", "S2"], '
@@ -349,30 +393,48 @@ class TestCliCommands:
         summary = json.loads((out / "summary.json").read_text())
         assert all(row["match"] for row in summary["rows"])
 
-    def test_workers_env_override(self, monkeypatch):
+    def test_resolve_workers(self, monkeypatch):
         from oscillab.gallery import resolve_workers
-        monkeypatch.setenv("OSCILLAB_WORKERS", "3")
-        assert resolve_workers(None) == 3
-        assert resolve_workers(2) == 2
-        monkeypatch.setenv("OSCILLAB_WORKERS", "abc")
-        with pytest.raises(sw.ConfigError):
-            resolve_workers(None)
-        monkeypatch.delenv("OSCILLAB_WORKERS")
+        monkeypatch.setenv("OSCILLAB_WORKERS", "3")    # no longer read
         assert resolve_workers(None) == 1
+        assert resolve_workers(2) == 2
+        assert resolve_workers(0) == 1
 
-    def test_non_integer_workers_env_exits_4(self, monkeypatch, tmp_path, capsys):
-        monkeypatch.setenv("OSCILLAB_WORKERS", "abc")
-        assert cli.main(["gallery", "--depth", "4", "--out", str(tmp_path / "gal")]) == 4
-        assert "OSCILLAB_WORKERS" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("args", [["--depth", "0"], ["--depth", "-2"], ["--depth", "25"],
-                                      ["--depth", "4", "--criteria", "W1"]])
+    @pytest.mark.parametrize("args", [["--depth", "0"], ["--depth", "-2"], ["--depth", "3"],
+                                      ["--depth", "25"], ["--depth", "4", "--criteria", "W1"]])
     def test_bad_gallery_arguments_exit_4_before_any_profile(self, monkeypatch, tmp_path, args):
         from oscillab import gallery
         ran = []
         monkeypatch.setattr(gallery, "_profile_task", ran.append)
         assert cli.main(["gallery", "--out", str(tmp_path / "gal"), *args]) == 4
         assert ran == [] and not (tmp_path / "gal").exists()
+
+    _Z65 = '{"kind": "poly", "coefficients": [%s[1, 0]]}' % ("[0, 0], " * 65)
+    _NAN = '{"kind": "poly", "coefficients": [[NaN, 0], [0.5, 0]]}'
+
+    @pytest.mark.parametrize("argv, text", [
+        (["identities", "--points", "0"], None), (["identities", "--seed", "-1"], None),
+        (["identities", "--n", "1" + "0" * 400], None), (["leibov", "--depth", "-1"], None),
+        (["leibov", "--depth", "100"], None), (["leibov", "--count", "0"], None),
+        (["leibov", "--count", "1100"], None),
+        # S1 needs z^65 lowered, beyond the degree cap
+        (["sweep", "--config"], f'{{"symbol": {_Z65}, "criteria": ["S1"], "depth": 10, '
+                                '"angles": 8, "out_dir": "OUT"}'),
+        (["sweep", "--config"], f'{{"symbol": {_NAN}, "out_dir": "OUT"}}'),
+        (["decompose", "--mode", "density", "--set"], "5"),
+        (["decompose", "--mode", "density", "--set"], "[[0, 0, 1, 2]]"),
+        (["decompose", "--mode", "density", "--set"], '[[0, 1, 1, "x"]]')],
+        ids=["points-0", "seed-neg", "n-huge", "leibov-depth-neg", "leibov-depth-100",
+             "count-0", "count-1100", "z65-s1", "nan-symbol", "set-not-rows",
+             "set-zero-denominator", "set-string"])
+    def test_bad_inputs_exit_4_with_one_error_line(self, tmp_path, capsys, argv, text):
+        if text is not None:
+            path = tmp_path / "input.json"
+            path.write_text(text.replace("OUT", str(tmp_path / "out")))
+            argv = [*argv, str(path)]
+        assert cli.main(argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_identities_command(self, capsys):
         assert cli.main(["identities", "--points", "2", "--seed", "3"]) == 0

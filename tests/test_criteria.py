@@ -428,12 +428,10 @@ class TestProfiles:
             on_level = np.abs(sweep.phi_at_grid[first]) >= level
             assert value == max(np.asarray(values)[on_level])
 
-    def test_s1_profile_without_levels_is_empty(self):
-        settings = cr.SweepSettings(depth=3, angles=8)
-        assert settings.levels() == []
-        prof = cr.CriterionSweep(s.Identity(), settings).profile("S1")
-        assert prof.points == ()
-        assert prof.metadata["flagged"] is False
+    def test_settings_without_ladder_levels_are_rejected(self):
+        # depth < level_start would leave every profile without a level
+        with pytest.raises(cr.ConfigError, match="level_start <= depth"):
+            cr.SweepSettings(depth=3, angles=8)
 
     @pytest.mark.parametrize("phi", [s.Polynomial((0.5, 0.5)), s.Polynomial((0, 0.5, 0.5))],
                              ids=["half-shift", "quad-touch"])

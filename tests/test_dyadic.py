@@ -106,8 +106,9 @@ class TestIntersectMeasureOracle:
     @given(mixed_arc_sets, mixed_fraction(-2, 2), mixed_fraction(0, 3))
     def test_pairs_match_the_naive_overlap_sum(self, e, lo, length):
         # covers wrapping past 0 and queries of length >= 1
-        assert dy.intersect_measure(e, (lo, lo + length)) == naive_intersect_measure(
-            e, lo, lo + length)
+        naive = naive_intersect_measure(e, lo, lo + length)
+        assert dy.intersect_measure(e, (lo, lo + length)) == naive
+        assert e.intersect(dy.ArcSet.from_arc((lo, lo + length))).measure == naive
 
     @settings(max_examples=300, deadline=None)
     @given(mixed_arc_sets, st.integers(0, dy.MAX_DEPTH).flatmap(

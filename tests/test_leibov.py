@@ -167,9 +167,17 @@ def reference_pair_integral(b, c, a):
             + gb * gc * (1.0 + ba / one_m_ba + ca / one_m_ca) / one_m_bc)
 
 
+def reference_gap_sigma(b, a):
+    """sigma_b(a) as one scalar expression: the reference for ``lb.gap_sigma``
+    and for the sigma_b(a) terms inside ``lb.gamma_combination``."""
+    psi = a.turns - b.turns
+    num = lb._one_minus_unimodular(psi) + lb._phase(psi) * a.gap - b.gap
+    return lb._phase(b.turns) * num / lb.one_minus_product(b.gap, a.gap, psi)
+
+
 def oracle_gamma_combination(bases, lam, a):
     """gamma of the combination by the double loop over ``pair_integral``."""
-    sigmas = [lb.gap_sigma(b, a) for b in bases]
+    sigmas = [reference_gap_sigma(b, a) for b in bases]
     ga = sum(l * s for l, s in zip(lam, sigmas))
     total = 0.0
     for j, lj in enumerate(lam):
@@ -197,6 +205,11 @@ class TestKernelBitIdentity:
             for b in cert.base_points:
                 for c in cert.base_points:
                     assert lb.pair_integral(b, c, a) == reference_pair_integral(b, c, a)
+
+    def test_gap_sigma_is_the_scalar_formula(self, cert, grid):
+        for a in grid[::7]:
+            for b in cert.base_points:
+                assert lb.gap_sigma(b, a) == reference_gap_sigma(b, a)
 
     def test_gamma_combination_is_the_double_loop(self, cert, grid, lams):
         for i, lam in enumerate(lams):

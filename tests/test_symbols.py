@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -205,6 +207,11 @@ class TestValidation:
     def test_unimodular_constant_rejected(self):
         with pytest.raises(s.NotSelfMapError):
             s.validate_self_map(s.Constant(1.0))
+
+    @pytest.mark.parametrize("phi", [s.Polynomial((math.nan, 0.5)), s.Constant(complex(math.nan))])
+    def test_nan_boundary_values_rejected(self, phi):
+        with pytest.raises(s.NotSelfMapError):
+            s.validate_self_map(phi)
 
     def test_schwarz_pick(self):
         from oscillab.geometry import rho
