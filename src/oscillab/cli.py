@@ -58,6 +58,17 @@ def _int_in(lo: int, hi: float = math.inf):
     return parse
 
 
+def _positive_float(text: str) -> float:
+    """The argparse type of a positive finite float."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"{text} is not a positive finite number")
+    return value
+
+
+_positive_float.__name__ = "float"     # argparse names it in "invalid float value: ..."
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="oscillab",
                      description="compactness criteria lab for disc self-maps")
@@ -96,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="base boundary grid size")
     p.add_argument("--points", type=_int_in(1), default=20, help="random base points per run")
     p.add_argument("--seed", type=_int_in(0), default=0)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_positive_float, default=1e-8)
     return parser
 
 

@@ -153,17 +153,27 @@ class Preimages:
 #: companion-matrix entries per ``eigvals`` call of ``_polished_roots``
 EIGVALS_BLOCK = 2 ** 20
 
-#: most Newton steps ``_polished_roots`` takes on a row
+#: most Newton steps ``_polished_roots`` takes on a row; a safety cap, since
+#: a row stops at its rounding floor, after 1-3 steps on every zoo symbol
 POLISH_STEPS = 40
+
+#: double-precision machine epsilon, 2^-52
+EPS = 2.0 ** -52
 
 
 def _polished_roots(coeffs: np.ndarray) -> np.ndarray:
     """All roots of equal-degree polynomials, one row of ascending
     coefficients each, the leading one nonzero: ``numpy.roots``'s companion
     matrices stacked into one ``eigvals`` call (per ``EIGVALS_BLOCK``
-    entries), then Newton steps on every row at once.  A row stops once its
-    largest step is below 1e-16, so its roots do not depend on the other
-    rows."""
+    entries), then Newton steps on every row at once.
+
+    A row stops after a step once Newton has reached its rounding floor:
+    when its largest step is below 1e-16, when every root's step is at
+    most ``4 * EPS * |z|``, or when its largest step did not decrease from
+    the step before and every step is at most ``1e-12 * max(1, |z|)``
+    (steps of roots with |z| near or above 1 bounce between a few ulps).
+    A row whose steps are NaN stops too.  The rule reads only the row's
+    own steps, so its roots do not depend on the other rows."""
     n, e = coeffs.shape[0], coeffs.shape[1] - 1
     z = np.empty((n, e), dtype=complex)
     block = max(1, EIGVALS_BLOCK // (e * e))
@@ -175,6 +185,7 @@ def _polished_roots(coeffs: np.ndarray) -> np.ndarray:
         z[start:start + block] = np.linalg.eigvals(comp)
     dcoeffs = coeffs[:, 1:] * np.arange(1, e + 1)
     active = np.arange(n)
+    last = np.full(n, np.inf)       # each active row's largest step before
     for _ in range(POLISH_STEPS):
         za = z[active]
         # tensor=False evaluates row i's polynomial at row i's roots only
@@ -182,8 +193,15 @@ def _polished_roots(coeffs: np.ndarray) -> np.ndarray:
         df = npoly.polyval(za, dcoeffs[active].T[..., None], tensor=False)
         ok = np.abs(df) > 1e-300
         step = np.where(ok, f / np.where(ok, df, 1.0), 0.0)
-        z[active] = za - step
-        active = active[np.max(np.abs(step), axis=1) >= 1e-16]
+        za = za - step
+        z[active] = za
+        size, mod = np.abs(step), np.abs(za)
+        largest = np.max(size, axis=1)
+        floor = np.all(size <= 4 * EPS * mod, axis=1)
+        stalled = (largest >= last) & np.all(size <= 1e-12 * np.maximum(1.0, mod), axis=1)
+        # written as "go on" so that a NaN step stops its row
+        going = (largest >= 1e-16) & ~floor & ~stalled
+        active, last = active[going], largest[going]
         if len(active) == 0:
             break
     return z

@@ -37,6 +37,8 @@ class SweepConfig(cr.SweepSettings):
         if unknown:
             raise ConfigError(f"unknown criteria {unknown}; known: {list(cr.PROFILE_KINDS)}")
         object.__setattr__(self, "criteria", tuple(self.criteria))
+        if "S2" in self.criteria and self.depth < cr.S2_LEVEL_START:
+            raise ConfigError(f"S2 needs depth >= {cr.S2_LEVEL_START}, got {self.depth}")
         try:
             sym.certificate(sym.symbol_from_json(self.symbol))
         except (sym.SymbolError, sym.NotSelfMapError) as exc:

@@ -289,7 +289,9 @@ class TestCliCommands:
         '"s2_radii": ["0.5"]', '"s2_radii": []', '"criteria": "L"', '"out_dir": 3',
         '"tau_cap": NaN', '"tau_cap": 1' + '0' * 400, '"base_n": 2097152',
         '"s2_boundary_n": 1099511627776', '"arc_samples": 1048576',
-        '"w1_powers": [1000000000000]'])
+        '"w1_powers": [1000000000000]',
+        # S2's thresholds start at level 4, so depth 3 would give no S2 rows
+        '"depth": 3, "level_start": 1'])
     def test_mistyped_config_exits_4(self, tmp_path, field):
         path = tmp_path / "cfg.json"
         path.write_text('{"symbol": {"kind": "identity"}, "criteria": ["L", "S2"], '
@@ -417,6 +419,8 @@ class TestCliCommands:
         (["identities", "--n", "1" + "0" * 400], None), (["leibov", "--depth", "-1"], None),
         (["leibov", "--depth", "100"], None), (["leibov", "--count", "0"], None),
         (["leibov", "--count", "1100"], None),
+        (["identities", "--tol", "nan"], None), (["identities", "--tol", "inf"], None),
+        (["identities", "--tol", "0"], None), (["identities", "--tol", "-1"], None),
         # S1 needs z^65 lowered, beyond the degree cap
         (["sweep", "--config"], f'{{"symbol": {_Z65}, "criteria": ["S1"], "depth": 10, '
                                 '"angles": 8, "out_dir": "OUT"}'),
@@ -425,8 +429,8 @@ class TestCliCommands:
         (["decompose", "--mode", "density", "--set"], "[[0, 0, 1, 2]]"),
         (["decompose", "--mode", "density", "--set"], '[[0, 1, 1, "x"]]')],
         ids=["points-0", "seed-neg", "n-huge", "leibov-depth-neg", "leibov-depth-100",
-             "count-0", "count-1100", "z65-s1", "nan-symbol", "set-not-rows",
-             "set-zero-denominator", "set-string"])
+             "count-0", "count-1100", "tol-nan", "tol-inf", "tol-0", "tol-neg", "z65-s1",
+             "nan-symbol", "set-not-rows", "set-zero-denominator", "set-string"])
     def test_bad_inputs_exit_4_with_one_error_line(self, tmp_path, capsys, argv, text):
         if text is not None:
             path = tmp_path / "input.json"

@@ -1,8 +1,11 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.polynomial import polynomial as npoly
 
 from oscillab import criteria as cr
 from oscillab import nevanlinna as nv
@@ -10,6 +13,8 @@ from oscillab import symbols as s
 from oscillab.gallery import GALLERY
 
 RNG = np.random.default_rng(16180)
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 class TestToRational:
@@ -78,6 +83,156 @@ class TestPreimages:
         psi = nv.to_rational(s.power(s.Identity(), 6))
         pre = nv.preimages(psi, 0.4 + 0.1j)
         assert pre.residual < 1e-12
+
+
+def absolute_stop_polish(coeffs):
+    """``_polished_roots`` with an absolute stop only: a row stops once its
+    largest Newton step is below 1e-16, or at ``POLISH_STEPS``.  The oracle
+    for the rounding-floor stop; returns the roots and each row's steps."""
+    n, e = coeffs.shape[0], coeffs.shape[1] - 1
+    comp = np.zeros((n, e, e), dtype=complex)
+    comp[:, 0, :] = -coeffs[:, -2::-1] / coeffs[:, -1, None]
+    comp[:, np.arange(1, e), np.arange(e - 1)] = 1.0
+    z = np.linalg.eigvals(comp)
+    dcoeffs = coeffs[:, 1:] * np.arange(1, e + 1)
+    active = np.arange(n)
+    steps = np.zeros(n, dtype=int)
+    for _ in range(nv.POLISH_STEPS):
+        za = z[active]
+        f = npoly.polyval(za, coeffs[active].T[..., None], tensor=False)
+        df = npoly.polyval(za, dcoeffs[active].T[..., None], tensor=False)
+        ok = np.abs(df) > 1e-300
+        step = np.where(ok, f / np.where(ok, df, 1.0), 0.0)
+        z[active] = za - step
+        steps[active] += 1
+        active = active[np.max(np.abs(step), axis=1) >= 1e-16]
+        if len(active) == 0:
+            break
+    return z, steps
+
+
+class CountingPolyval:
+    """The module's ``npoly`` with its ``polyval`` calls counted: the polish
+    evaluates f and f' once per Newton step."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(npoly, name)
+
+    def polyval(self, *args, **kwargs):
+        self.calls += 1
+        return npoly.polyval(*args, **kwargs)
+
+
+POLISH_FAMILIES = ("coefficients", "unit-ring", "ring-1.6", "near-double")
+
+
+def polish_rows(name, degree):
+    """Seeded rows of one degree, each scaled by its largest coefficient;
+    with the condition factor of their worst root (1 unless a root is
+    near-double)."""
+    rng = np.random.default_rng([27, POLISH_FAMILIES.index(name), degree])
+
+    def ring(count, radius):
+        # evenly spaced angles and radii, each jittered
+        turns = (np.arange(count) + 0.2 * rng.uniform(size=count)) / count + rng.uniform()
+        return radius * (1 + 0.01 * rng.normal(size=count)) * np.exp(2j * np.pi * turns)
+
+    cond = 1.0
+    if name == "coefficients":     # random coefficients: roots cluster near |z| = 1
+        rows = rng.normal(size=(60, degree + 1)) + 1j * rng.normal(size=(60, degree + 1))
+    elif name == "unit-ring":
+        rows = np.array([npoly.polyfromroots(ring(degree, 1.0)) for _ in range(60)])
+    elif name == "ring-1.6":       # steps bounce at several ulps out here
+        rows = np.array([npoly.polyfromroots(np.r_[ring(degree - degree // 2, 1.6),
+                                                   ring(degree // 2, 0.5)])
+                         for _ in range(60)])
+    else:                          # a near-double root, the pair 1e-3 apart
+        sep = 1e-3
+        cond = 1.0 / sep
+        pair = 0.5 + 0.3j + np.array([0.0, sep * np.exp(2j * np.pi * rng.uniform())])
+        rows = np.array([npoly.polyfromroots(np.r_[pair, ring(degree - 2, 0.9)])
+                         for _ in range(30)])
+    return rows / np.max(np.abs(rows), axis=1, keepdims=True), cond
+
+
+def blaschke5_s1_rows(monkeypatch):
+    """Every row block S1 polishes for a degree-5 Blaschke product at 1 - 2^-8."""
+    blocks = []
+    polish = nv._polished_roots
+
+    def record(coeffs):
+        blocks.append(coeffs.copy())
+        return polish(coeffs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(nv, "_polished_roots", record)
+        nv.s1_statistic(s.Blaschke(1, (0.5, 0.5j, -0.5, -0.5j, 0.3)), 1.0 - 2.0 ** -8)
+    return blocks
+
+
+class TestPolishStop:
+    """The rounding-floor stop against the absolute-stop loop it replaced."""
+
+    def check(self, rows, cond, monkeypatch):
+        want, oracle_steps = absolute_stop_polish(rows)
+        counter = CountingPolyval()
+        monkeypatch.setattr(nv, "npoly", counter)
+        single, steps = [], []
+        for row in rows:
+            before = counter.calls
+            single.append(nv._polished_roots(row[None])[0])
+            steps.append((counter.calls - before) // 2)
+        got = nv._polished_roots(rows)
+        # a row's roots do not depend on the other rows
+        assert np.array_equal(got, np.array(single))
+        tol = 16 * nv.EPS * cond * np.maximum(1.0, np.abs(want))
+        assert np.all(np.abs(got - want) <= tol)
+        steps = np.array(steps)
+        assert np.all(steps <= oracle_steps)
+        assert np.all(steps < nv.POLISH_STEPS)
+
+    @pytest.mark.parametrize("degree", range(3, 9))
+    @pytest.mark.parametrize("name", POLISH_FAMILIES)
+    def test_seeded_rows_match_the_absolute_stop(self, name, degree, monkeypatch):
+        self.check(*polish_rows(name, degree), monkeypatch)
+
+    def test_degree5_blaschke_s1_rows_match_the_absolute_stop(self, monkeypatch):
+        blocks = blaschke5_s1_rows(monkeypatch)
+        assert blocks and all(b.shape[1] == 6 for b in blocks)
+        for rows in blocks:
+            self.check(rows, 1.0, monkeypatch)
+
+
+class TestZooS1Reference:
+    def test_first_zoo_candidates_match_the_recorded_s1(self, monkeypatch):
+        # the benchmark's symbol-zoo gate on S1, for candidate 0 of every slot
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        from harness import inputs, workloads
+        reference = json.loads((PERFBENCH / "reference" / "zoo.json")
+                               .read_text(encoding="utf-8"))["candidates"]
+        off, checked = [], 0
+        for slot in range(len(inputs.ZOO_SLOTS)):
+            entry = inputs.zoo_candidate(slot, 0)
+            recorded = reference[entry["slot"]][0]
+            if "raises" in recorded:
+                continue
+            assert recorded["symbol"] == entry["symbol"]
+            config = inputs.zoo_config(entry, 0, "unused")
+            settings = cr.SweepSettings(depth=config["depth"], angles=config["angles"],
+                                        level_start=config["level_start"])
+            sweep = cr.CriterionSweep(s.symbol_from_json(entry["symbol"]), settings)
+            got = [[float(t), float(v)] for t, v in sweep.profile("S1").points]
+            want = recorded["rows"].get("S1", [])
+            if len(got) != len(want) or any(
+                    g[0] != w[0] or abs(g[1] - w[1]) > workloads.VALUE_TOL
+                    for g, w in zip(got, want)):
+                off.append((entry["slot"], got, want))
+            checked += 1
+        assert off == []
+        assert checked > 0
 
 
 class TestCountingFunction:
