@@ -80,8 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gallery", help="run the built-in gallery")
     p.add_argument("--depth", type=int, default=12, help="ladder depth K")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--workers", type=_int_in(1), default=None)
+    p.add_argument("--seed", type=_int_in(0), default=0)
     p.add_argument("--plots", action="store_true", help="emit SVG profile plots")
     p.add_argument("--criteria", nargs="*", default=list(DEFAULT_KINDS),
                    choices=sorted(set(DEFAULT_KINDS) | set(EXTRA_KINDS)),
@@ -212,8 +212,9 @@ def _cmd_decompose(args) -> int:
             },
         }
     _emit(payload, args.out)
-    ver = payload["verification"]
-    ok = ver.get("all_ok", ver.get("sandwich_ok") and ver.get("residue_zero"))
+    checks = (("sandwich_ok", "interiors_disjoint", "residue_zero") if args.mode == "wik"
+              else ("all_ok",))
+    ok = all(payload["verification"][k] for k in checks)
     return EXIT_OK if ok else EXIT_INCONSISTENT
 
 

@@ -114,6 +114,8 @@ class SweepSettings:
             raise ConfigError(f"s2_radii must be a nonempty list of numbers in (0, 1), "
                               f"got {list(self.s2_radii)}")
         object.__setattr__(self, "s2_radii", tuple(float(r) for r in self.s2_radii))
+        if len(set(self.s2_radii)) < len(self.s2_radii):
+            raise ConfigError(f"s2_radii must be distinct, got {list(self.s2_radii)}")
         object.__setattr__(self, "w1_powers", tuple(int(n) for n in self.w1_powers))
         if not 1 <= self.level_start <= self.depth <= MAX_DEPTH:
             raise ConfigError(f"need 1 <= level_start <= depth <= {MAX_DEPTH}, got "
@@ -159,6 +161,12 @@ class CriterionProfile:
 
     def values(self) -> list[float]:
         return [v for _, v in self.points]
+
+
+def s2_label(profile: CriterionProfile) -> str:
+    """The name of an S2 profile in verdict keys and CSV rows: ``repr`` of
+    its cutoff radius R, so that distinct radii get distinct names."""
+    return f"S2[R={profile.metadata['R']!r}]"
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +367,7 @@ def arc_center_average(phi: sym.Symbol, arc: Arc, metric="rho2",
                        center: complex | None = None) -> ArcAverage:
     """|I|^-1 integral over I of the metric against the value at the arc center."""
     vals = _arc_values(phi, arc, samples)
-    c = center_of(arc).value if center is None else complex(center)
+    c = center_of(arc) if center is None else complex(center)
     return _row_averages(rho(vals[None, :], complex(phi.eval(c))), metric, tau_cap)[0]
 
 
@@ -785,7 +793,7 @@ def verdict(phi: sym.Symbol, profiles: dict,
     for key, prof in profiles.items():
         if isinstance(prof, list):
             for p in prof:
-                handle(f"{key}[R={p.metadata.get('R')}]", p)
+                handle(s2_label(p), p)
         else:
             handle(key, prof)
 

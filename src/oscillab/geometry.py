@@ -2,11 +2,9 @@
 
 Moebius automorphisms that exchange 0 with an interior point, the
 pseudo-hyperbolic and hyperbolic metrics, the Poisson kernel, and the
-boundary arc attached to an interior point.  The low-level kernels
-(``moebius``, ``rho``, ``tau``, ``poisson_kernel``) accept scalars or numpy
-arrays and broadcast.  The ``DiscPoint``-typed wrappers (``moebius_eval``,
-``center_of``) check that their points lie in the closed disc; of them,
-only ``center_of`` has a caller in the package, the centred arc averages.
+boundary arc attached to an interior point.  Points are plain complex
+numbers; the kernels (``moebius``, ``rho``, ``tau``, ``poisson_kernel``)
+accept scalars or numpy arrays and broadcast.
 
 Arc angles are stored in *turns* (fractions of a full revolution) as exact
 rationals so the dyadic set machinery can do exact measure arithmetic on
@@ -18,79 +16,27 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 import numpy as np
-
-#: points whose modulus is within this tolerance of 1 are treated as boundary
-BOUNDARY_TOL = 1e-12
 
 #: default clip value for the (unbounded) hyperbolic metric inside integrals
 DEFAULT_TAU_CAP = 50.0
 
 TWO_PI = 2.0 * math.pi
 
-ComplexLike = Union[complex, float, "DiscPoint"]
-
 
 class GeometryError(ValueError):
     """Raised for points or arcs outside the supported domain."""
-
-
-@dataclass(frozen=True)
-class DiscPoint:
-    """A point of the closed unit disc, tagged interior or boundary.
-
-    Boundary points are renormalized to modulus exactly 1 on construction
-    (within ``BOUNDARY_TOL``); interior points must satisfy ``|z| < 1``
-    strictly.
-    """
-
-    value: complex
-    on_boundary: bool = False
-
-    @staticmethod
-    def interior(z: ComplexLike) -> "DiscPoint":
-        z = as_complex(z)
-        if abs(z) >= 1.0:
-            raise GeometryError(f"not an interior point: |{z}| = {abs(z)} >= 1")
-        return DiscPoint(z, on_boundary=False)
-
-    @staticmethod
-    def boundary(z: ComplexLike) -> "DiscPoint":
-        z = as_complex(z)
-        m = abs(z)
-        if abs(m - 1.0) > BOUNDARY_TOL:
-            raise GeometryError(f"not a boundary point: |{z}| = {m}")
-        return DiscPoint(z / m, on_boundary=True)
-
-    @staticmethod
-    def of(z: ComplexLike) -> "DiscPoint":
-        """Classify ``z`` as interior or boundary, rejecting anything else."""
-        z = as_complex(z)
-        if abs(abs(z) - 1.0) <= BOUNDARY_TOL:
-            return DiscPoint.boundary(z)
-        return DiscPoint.interior(z)
-
-    def __complex__(self) -> complex:
-        return self.value
-
-
-def as_complex(z: ComplexLike) -> complex:
-    """Unwrap a DiscPoint (or coerce a number) to a plain complex value."""
-    if isinstance(z, DiscPoint):
-        return z.value
-    return complex(z)
 
 
 # ---------------------------------------------------------------------------
 # metric and kernel primitives (array friendly)
 # ---------------------------------------------------------------------------
 
-def moebius(a: ComplexLike, z):
+def moebius(a: complex, z):
     """sigma_a(z) = (a - z)/(1 - conj(a) z), the self-inverse automorphism
     exchanging 0 and ``a``.  ``z`` may be an array."""
-    a = as_complex(a)
+    a = complex(a)
     if abs(a) >= 1.0:
         raise GeometryError(f"moebius parameter must be interior, got |a| = {abs(a)}")
     z = np.asarray(z, dtype=complex) if not np.isscalar(z) else z
@@ -147,11 +93,6 @@ def rho_parts(zr, zi, wr, wi):
     return np.minimum(num2, 1.0, out=num2)[()]
 
 
-def pseudo_hyperbolic(z: ComplexLike, w: ComplexLike) -> float:
-    """Scalar pseudo-hyperbolic distance between two points of the closed disc."""
-    return float(rho(as_complex(z), as_complex(w)))
-
-
 def tau_from_rho(r):
     """Hyperbolic metric as a function of the pseudo-hyperbolic one:
     tau = (1/2) log((1+rho)/(1-rho)) = atanh(rho); +inf at rho = 1."""
@@ -163,11 +104,6 @@ def tau_from_rho(r):
 def tau(z, w):
     """Hyperbolic distance; +inf for distinct points touching the boundary."""
     return tau_from_rho(rho(z, w))
-
-
-def hyperbolic(z: ComplexLike, w: ComplexLike) -> float:
-    """Scalar hyperbolic distance in [0, +inf]."""
-    return float(tau(as_complex(z), as_complex(w)))
 
 
 def tau_capped(rho_values, cap: float = DEFAULT_TAU_CAP, power: float = 1.0, axis=None):
@@ -186,16 +122,14 @@ def tau_capped(rho_values, cap: float = DEFAULT_TAU_CAP, power: float = 1.0, axi
     return t, hits
 
 
-def poisson_kernel(a: ComplexLike, zeta):
+def poisson_kernel(a: complex, zeta):
     """Poisson kernel P_a(zeta) = (1 - |a|^2)/|zeta - a|^2 for interior ``a``.
 
     Integrates to 1 against the normalized arc-length measure on the circle.
     """
-    a = as_complex(a)
+    a = complex(a)
     if abs(a) >= 1.0:
         raise GeometryError(f"Poisson kernel needs an interior point, got |a| = {abs(a)}")
-    if isinstance(zeta, DiscPoint):
-        zeta = zeta.value
     zeta = np.asarray(zeta, dtype=complex)
     return (1.0 - abs(a) ** 2) / np.abs(zeta - a) ** 2
 
@@ -266,14 +200,14 @@ def _arc_turns(a: complex) -> tuple[float, float]:
     return theta, 1.0 - r
 
 
-def arc_of(a: ComplexLike) -> Arc:
+def arc_of(a: complex) -> Arc:
     """The boundary arc with midpoint a/|a| and normalized length 1 - |a|.
 
     For a = 0 the whole circle is returned.  Angles are converted to exact
     (binary) rationals of the floating point data, so round trips through
     ``center_of`` reproduce the input to floating precision.
     """
-    center, length = _arc_turns(as_complex(a))
+    center, length = _arc_turns(complex(a))
     return Arc(Fraction(center), Fraction(length))
 
 
@@ -284,17 +218,14 @@ def arc_sample_points(points, m: int) -> np.ndarray:
     return _midpoint_samples(turns[:, :1], turns[:, 1:], m)
 
 
-def center_of(arc: Arc) -> DiscPoint:
+def center_of(arc: Arc) -> complex:
     """The unique interior point whose arc is ``arc`` (inverse of arc_of)."""
     r = 1.0 - float(arc.length)
     angle = TWO_PI * float(arc.center)
-    return DiscPoint.interior(r * complex(math.cos(angle), math.sin(angle)))
-
-
-def moebius_eval(a: DiscPoint | complex, z: DiscPoint | complex) -> DiscPoint:
-    """Checked sigma_a evaluation returning a classified disc point."""
-    value = complex(moebius(as_complex(a), as_complex(z)))
-    return DiscPoint.of(value)
+    z = r * complex(math.cos(angle), math.sin(angle))
+    if abs(z) >= 1.0:
+        raise GeometryError(f"not an interior point: |{z}| = {abs(z)} >= 1")
+    return z
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ import numpy as np
 
 from . import symbols as sym
 from .geometry import moebius, poisson_kernel
+from .symbols import QuadratureError
 
 MAX_GRID = 2 ** 20
 
@@ -37,22 +38,6 @@ BASE_N = 4096
 POLE_CLEARANCE = 23.0
 
 GAMMA_TOL = 1e-8
-
-
-class QuadratureError(RuntimeError):
-    """Dual quadrature routes failed to agree within tolerance at the
-    witness point ``point``."""
-
-    def __init__(self, message, direct=None, poisson=None, n=None, point=None):
-        super().__init__(message)
-        self.direct = direct
-        self.poisson = poisson
-        self.n = n
-        self.point = point
-
-    def __reduce__(self):
-        # keep the fields when a pool worker sends the error back
-        return type(self), (self.args[0], self.direct, self.poisson, self.n, self.point)
 
 
 @dataclass(frozen=True)
@@ -106,23 +91,23 @@ def _h2_settled(prev, cur) -> bool:
 
 
 def h2_norm(f) -> float:
-    """Hardy-space norm from boundary samples.
+    """Hardy-space norm of a Symbol or any boundary function, from its
+    boundary samples.
 
-    Accepts a BoundaryGrid, a Symbol, or any boundary function; for the
-    latter two the grid doubles from BASE_N until the value stabilizes.
+    The grid doubles from BASE_N until the value stabilizes; QuadratureError
+    is raised when it has not by 2^18.
     """
-    if isinstance(f, sym.BoundaryGrid):
-        if f.n < 64:
-            raise ValueError("grid too coarse for an H^2 norm")
-        return float(np.sqrt(np.mean(np.abs(f.values) ** 2)))
-    return sym.refine(lambda n: float(np.sqrt(np.mean(np.abs(sample_boundary(f, n)) ** 2))),
-                      BASE_N, 2 ** 18, _h2_settled)[0]
+    return sym.refined("H^2 norm",
+                       lambda n: float(np.sqrt(np.mean(np.abs(sample_boundary(f, n)) ** 2))),
+                       BASE_N, 2 ** 18, _h2_settled)
 
 
 def h2_norm_coefficients(phi: sym.Symbol) -> float:
-    """Coefficient route sqrt(sum |c_k|^2); doubles the order until stable."""
-    return sym.refine(lambda m: float(np.sqrt(np.sum(np.abs(sym.taylor(phi, m)) ** 2))),
-                      255, 2 ** 17, _h2_settled)[0]
+    """Coefficient route sqrt(sum |c_k|^2); doubles the order until stable,
+    and raises QuadratureError when it has not by order 2^17."""
+    return sym.refined("H^2 norm coefficients",
+                       lambda m: float(np.sqrt(np.sum(np.abs(sym.taylor(phi, m)) ** 2))),
+                       255, 2 ** 17, _h2_settled)
 
 
 def modulus2(u, c):

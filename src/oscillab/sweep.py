@@ -86,7 +86,7 @@ def profiles_to_rows(profiles: dict) -> list[tuple]:
         for prof in entries:
             label = prof.kind
             if prof.kind == "S2":
-                label = f"S2[R={prof.metadata.get('R'):g}]"
+                label = cr.s2_label(prof)
             elif "metric" in prof.metadata:
                 label = f"{prof.kind}[{prof.metadata['metric']}]"
             sizes = prof.metadata.get("grid_sizes", [0] * len(prof.points))

@@ -4,7 +4,7 @@ Supported node kinds (constants, the identity, polynomials, disc
 automorphisms, finite Blaschke products, composition and scaling) all
 evaluate exactly on the closed disc, so boundary values are genuine point
 evaluations rather than radial limits.  The family is closed under the
-constructions the rest of the package needs: ``compose`` for
+constructions the rest of the package needs: ``Compose`` for
 sigma_b . phi . sigma_a normalizations and ``power`` for phi^n.
 
 Validation estimates the sup norm on a fine boundary grid and classifies a
@@ -44,6 +44,23 @@ class NotSelfMapError(ValueError):
 
 class SymbolError(ValueError):
     """Malformed symbol construction or JSON description."""
+
+
+class QuadratureError(RuntimeError):
+    """A grid refinement stopped at its cap without settling.  The dual
+    quadrature routes of ``hardy`` carry both values and the witness point
+    ``point`` where they disagree."""
+
+    def __init__(self, message, direct=None, poisson=None, n=None, point=None):
+        super().__init__(message)
+        self.direct = direct
+        self.poisson = poisson
+        self.n = n
+        self.point = point
+
+    def __reduce__(self):
+        # keep the fields when a pool worker sends the error back
+        return type(self), (self.args[0], self.direct, self.poisson, self.n, self.point)
 
 
 class Symbol:
@@ -166,11 +183,6 @@ class Scale(Symbol):
         return self.factor * self.inner._ev(z)
 
 
-def compose(phi: Symbol, psi: Symbol) -> Symbol:
-    """phi . psi as a tree node; evaluation is exact by construction."""
-    return Compose(phi, psi)
-
-
 def as_polynomial(phi: Symbol) -> Optional[tuple]:
     """Ascending coefficients when the tree is exactly a polynomial, else None."""
     if isinstance(phi, Constant):
@@ -231,27 +243,6 @@ def power(phi: Symbol, n: int) -> Symbol:
 # boundary grids and Taylor coefficients
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BoundaryGrid:
-    """Samples of a self-map at the n-th roots of unity."""
-
-    n: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.n < 64 or self.n & (self.n - 1):
-            raise SymbolError(f"boundary grid size must be a power of two >= 64, got {self.n}")
-        values = np.asarray(self.values, dtype=complex)
-        if values.shape != (self.n,):
-            raise SymbolError("boundary grid shape mismatch")
-        top = float(np.max(np.abs(values)))
-        if top > 1.0 + 1e-10:
-            raise NotSelfMapError(
-                f"boundary modulus {top} exceeds 1", sup=top,
-                witness=complex(values[int(np.argmax(np.abs(values)))]))
-        object.__setattr__(self, "values", values)
-
-
 @functools.lru_cache(maxsize=48)
 def _cached_roots(n: int) -> np.ndarray:
     out = np.exp(2j * math.pi * np.arange(n) / n)
@@ -282,6 +273,15 @@ def refine(evaluate, n: int, max_n: int, settled) -> tuple:
         n *= 2
 
 
+def refined(what: str, evaluate, n: int, max_n: int, settled):
+    """The value of ``refine``; a loop that stops unsettled at ``max_n``
+    raises QuadratureError naming ``what``."""
+    value, n, ok = refine(evaluate, n, max_n, settled)
+    if not ok:
+        raise QuadratureError(f"{what} did not settle by n = {n}", n=n)
+    return value
+
+
 @functools.lru_cache(maxsize=64)
 def _cached_values(phi: Symbol, n: int) -> np.ndarray:
     values = np.asarray(phi.eval(roots_of_unity(n)), dtype=complex)
@@ -290,25 +290,36 @@ def _cached_values(phi: Symbol, n: int) -> np.ndarray:
 
 
 def raw_boundary_values(phi: Symbol, n: int) -> np.ndarray:
-    """Boundary values without the self-map gate (any bounded symbol tree)."""
+    """Boundary values without the self-map gate (any bounded symbol tree),
+    a read-only array; grids beyond 2^18 are not kept."""
     if n <= 2 ** 18:
         return _cached_values(phi, n)
-    return np.asarray(phi.eval(roots_of_unity(n)), dtype=complex)
+    return _cached_values.__wrapped__(phi, n)
 
 
-def boundary_samples(phi: Symbol, n: int) -> BoundaryGrid:
-    """Boundary values of a validated self-map on the n-th roots of unity."""
+def boundary_samples(phi: Symbol, n: int) -> np.ndarray:
+    """Boundary values of a validated self-map on the n-th roots of unity, a
+    read-only array; n must be a power of two >= 64."""
+    if n < 64 or n & (n - 1):
+        raise SymbolError(f"boundary grid size must be a power of two >= 64, got {n}")
     certificate(phi)
-    return BoundaryGrid(n, raw_boundary_values(phi, n))
+    values = raw_boundary_values(phi, n)
+    mods = np.abs(values)
+    top = float(np.max(mods))
+    if top > 1.0 + 1e-10:
+        raise NotSelfMapError(f"boundary modulus {top} exceeds 1", sup=top,
+                              witness=complex(values[int(np.argmax(mods))]))
+    return values
 
 
 def taylor(phi: Symbol, m: int, n: int | None = None) -> np.ndarray:
     """First m+1 Taylor coefficients at the origin.
 
     Polynomial trees are passed through exactly.  Otherwise the
-    coefficients come from inverting a boundary grid of size n >= 4(m+1);
-    when n is not given the grid is doubled until the coefficients
-    stabilize.
+    coefficients come from inverting a boundary grid of size n >= 4(m+1)
+    (``boundary_samples``); when n is not given the grid is doubled until
+    the coefficients stabilize, and QuadratureError is raised when they do
+    not by 2^20.
     """
     if m < 0:
         raise SymbolError("taylor order must be >= 0")
@@ -321,17 +332,14 @@ def taylor(phi: Symbol, m: int, n: int | None = None) -> np.ndarray:
     if n is not None:
         if n < 4 * (m + 1):
             raise SymbolError(f"grid of {n} samples cannot resolve order {m}; need >= {4 * (m + 1)}")
-        if n < 64 or n & (n - 1):
-            raise SymbolError("taylor grid size must be a power of two >= 64")
-        values = boundary_samples(phi, n).values
-        return np.fft.fft(values)[: m + 1] / n
+        return np.fft.fft(boundary_samples(phi, n))[: m + 1] / n
     size = 256
     while size < 4 * (m + 1):
         size *= 2
-    return refine(
-        lambda k: np.fft.fft(boundary_samples(phi, k).values)[: m + 1] / k, size, 2 ** 20,
-        lambda prev, cur: prev is not None and np.max(np.abs(cur - prev))
-        < 1e-13 * max(1.0, float(np.max(np.abs(cur)))))[0]
+    return refined(
+        "taylor coefficients", lambda k: np.fft.fft(boundary_samples(phi, k))[: m + 1] / k,
+        size, 2 ** 20, lambda prev, cur: prev is not None and np.max(np.abs(cur - prev))
+        < 1e-13 * max(1.0, float(np.max(np.abs(cur)))))
 
 
 # ---------------------------------------------------------------------------
@@ -447,6 +455,6 @@ def _node_from_json(data: dict, depth: int) -> Symbol:
         raise SymbolError(f"symbol description of kind {kind!r} is missing {exc}") from exc
     except SymbolError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:   # float(10**400) overflows
         raise SymbolError(f"malformed symbol description of kind {kind!r}: {exc}") from exc
     raise SymbolError(f"unknown symbol kind {kind!r}")

@@ -1,6 +1,9 @@
+import contextlib
 import glob
+import io
 import json
 import os
+import tempfile
 from dataclasses import fields
 
 import pytest
@@ -9,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from oscillab import cli
 from oscillab import criteria as cr
 from oscillab import sweep as sw
+from oscillab import symbols as sym
 from oscillab.gallery import GALLERY, entry_by_name, run_gallery
 from oscillab.criteria import SweepSettings
 
@@ -17,9 +21,11 @@ FAST = SweepSettings(depth=8, angles=16, w2_angles=8, s2_boundary_n=1024,
 
 
 # JSON values for the config property: ints up to +-2^70 (small ones too, so
-# that some configs pass the range checks), floats with NaN and the
-# infinities, strings, bools, null, lists and random symbol trees
+# that some configs pass the range checks) and beyond the float range,
+# floats with NaN and the infinities, strings, bools, null, lists and random
+# symbol trees
 _numbers = st.one_of(st.integers(-8, 80), st.integers(-2 ** 70, 2 ** 70),
+                     st.integers(2 ** 1024, 2 ** 1100),
                      st.floats(allow_nan=True, allow_infinity=True))
 _scalars = st.one_of(_numbers, st.text(max_size=6), st.booleans(), st.none())
 _cx = st.one_of(st.lists(st.floats(-1.5, 1.5), min_size=2, max_size=2),
@@ -122,6 +128,34 @@ class TestSweepConfig:
             sw.SweepConfig(symbol={"kind": "identity"}, w1_powers=powers)
 
 
+class TestSymbolJson:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(symbol_trees)
+    def test_from_json_returns_a_symbol_or_raises_symbol_error(self, data):
+        try:
+            phi = sym.symbol_from_json(data)
+        except sym.SymbolError:
+            return
+        assert isinstance(phi, sym.Symbol)
+        # a valid tree round-trips; compared as text, where NaN equals NaN
+        text = json.dumps(sym.symbol_to_json(phi))
+        assert json.dumps(sym.symbol_to_json(sym.symbol_from_json(json.loads(text)))) == text
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(symbol_trees)
+    def test_sweep_exits_with_a_documented_code(self, symbol):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "cfg.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump({"symbol": symbol, "criteria": ["L"], "depth": 4, "angles": 4,
+                           "out_dir": os.path.join(tmp, "out")}, fh)
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                code = cli.main(["sweep", "--config", path])
+        assert code in (0, 2, 3, 4)
+        if code:
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
 class TestRunSweep(object):
     def test_compact_constant(self, tmp_path):
         cfg = sw.SweepConfig(symbol={"kind": "const", "value": [0.3, 0.0]},
@@ -140,6 +174,20 @@ class TestRunSweep(object):
         with pytest.raises(sw.ConfigError, match="not at most 1"):
             sw.SweepConfig(symbol={"kind": "poly", "coefficients": [[0, 0], [2, 0]]},
                            criteria=("L",), out_dir=str(tmp_path / "out"))
+
+    def test_close_s2_radii_get_their_own_rows_and_keys(self, tmp_path):
+        radii = (0.1234561, 0.1234562, 0.5)
+        cfg = sw.SweepConfig(symbol={"kind": "identity"}, criteria=("S2",), depth=5,
+                             angles=4, s2_radii=radii, out_dir=str(tmp_path / "out"))
+        result = sw.run_sweep(cfg)
+        from pathlib import Path
+        rows = [r.split(",") for r in Path(result.csv_path).read_text().splitlines()[1:]]
+        labels = [f"S2[R={R!r}]" for R in radii]
+        # depth 5 gives each radius the S2 levels 4 and 5
+        assert sorted(r[0] for r in rows if r[0].startswith("S2")) == sorted(labels * 2)
+        verdict = json.loads(Path(result.verdict_path).read_text())
+        keys = {k for k in verdict["verdict"]["sub_verdicts"] if k.startswith("S2")}
+        assert keys == set(labels)
 
     def test_plots_emitted(self, tmp_path):
         cfg = sw.SweepConfig(symbol={"kind": "identity"}, criteria=("L",),
@@ -289,7 +337,7 @@ class TestCliCommands:
         '"s2_radii": ["0.5"]', '"s2_radii": []', '"criteria": "L"', '"out_dir": 3',
         '"tau_cap": NaN', '"tau_cap": 1' + '0' * 400, '"base_n": 2097152',
         '"s2_boundary_n": 1099511627776', '"arc_samples": 1048576',
-        '"w1_powers": [1000000000000]',
+        '"w1_powers": [1000000000000]', '"s2_radii": [0.5, 0.25, 0.5]',
         # S2's thresholds start at level 4, so depth 3 would give no S2 rows
         '"depth": 3, "level_start": 1'])
     def test_mistyped_config_exits_4(self, tmp_path, field):
@@ -340,6 +388,20 @@ class TestCliCommands:
         assert payload["arcs"] == [[0, 0]]
         assert payload["residue"] == [0, 1]
         assert payload["verification"]["sandwich_ok"]
+
+    def test_decompose_wik_exit_code_reads_every_check(self, tmp_path, monkeypatch):
+        from oscillab import dyadic
+        arcset = tmp_path / "set.json"
+        arcset.write_text("[[0, 1, 1, 4]]")
+        argv = ["decompose", "--mode", "wik", "--lambda", "1/2", "--set", str(arcset),
+                "--out", str(tmp_path / "dec.json")]
+        good = {"sandwich_ok": True, "per_arc": [True], "interiors_disjoint": True,
+                "residue_zero": True}
+        for check in ("sandwich_ok", "interiors_disjoint", "residue_zero"):
+            monkeypatch.setattr(dyadic, "verify_wik", lambda result: {**good, check: False})
+            assert cli.main(argv) == 3, check
+        monkeypatch.setattr(dyadic, "verify_wik", lambda result: good)
+        assert cli.main(argv) == 0
 
     def test_decompose_density(self, tmp_path):
         arcset = tmp_path / "set.json"
@@ -419,6 +481,9 @@ class TestCliCommands:
         (["identities", "--n", "1" + "0" * 400], None), (["leibov", "--depth", "-1"], None),
         (["leibov", "--depth", "100"], None), (["leibov", "--count", "0"], None),
         (["leibov", "--count", "1100"], None),
+        (["gallery", "--out", "OUT", "--workers", "-3"], None),
+        (["gallery", "--out", "OUT", "--workers", "0"], None),
+        (["gallery", "--out", "OUT", "--seed", "-7"], None),
         (["identities", "--tol", "nan"], None), (["identities", "--tol", "inf"], None),
         (["identities", "--tol", "0"], None), (["identities", "--tol", "-1"], None),
         # S1 needs z^65 lowered, beyond the degree cap
@@ -429,9 +494,11 @@ class TestCliCommands:
         (["decompose", "--mode", "density", "--set"], "[[0, 0, 1, 2]]"),
         (["decompose", "--mode", "density", "--set"], '[[0, 1, 1, "x"]]')],
         ids=["points-0", "seed-neg", "n-huge", "leibov-depth-neg", "leibov-depth-100",
-             "count-0", "count-1100", "tol-nan", "tol-inf", "tol-0", "tol-neg", "z65-s1",
+             "count-0", "count-1100", "gallery-workers-neg", "gallery-workers-0",
+             "gallery-seed-neg", "tol-nan", "tol-inf", "tol-0", "tol-neg", "z65-s1",
              "nan-symbol", "set-not-rows", "set-zero-denominator", "set-string"])
     def test_bad_inputs_exit_4_with_one_error_line(self, tmp_path, capsys, argv, text):
+        argv = [a.replace("OUT", str(tmp_path / "out")) for a in argv]
         if text is not None:
             path = tmp_path / "input.json"
             path.write_text(text.replace("OUT", str(tmp_path / "out")))

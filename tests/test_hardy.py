@@ -31,10 +31,14 @@ class TestH2Norm:
             assert h.h2_norm(phi) == pytest.approx(1.0, abs=1e-10)
             assert h.h2_norm_coefficients(phi) == pytest.approx(1.0, abs=1e-10)
 
-    def test_boundary_grid_input(self):
-        grid = s.boundary_samples(s.Polynomial((0.5, 0.5)), 4096)
-        direct = h.h2_norm(grid)
-        assert direct == pytest.approx(math.sqrt(0.5), abs=1e-12)
+    def test_unsettled_refinement_raises(self):
+        phi = s.Compose(s.Moebius(0.99999), s.Scale(0.99999, s.Identity()))
+        with pytest.raises(h.QuadratureError) as info:
+            h.h2_norm(phi)
+        assert info.value.n == 2 ** 18
+        with pytest.raises(h.QuadratureError):
+            h.h2_norm_coefficients(phi)
+        assert h.QuadratureError is s.QuadratureError
 
     def test_coefficient_route_agrees(self):
         for phi in (s.Polynomial((0.2, 0.3, 0.1j)), s.Moebius(0.7)):

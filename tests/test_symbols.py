@@ -46,16 +46,16 @@ class TestEval:
 class TestBoundarySamples:
     def test_quarter_points_of_identity(self):
         grid = s.boundary_samples(s.Identity(), 64)
-        quarters = grid.values[[0, 16, 32, 48]]
+        quarters = grid[[0, 16, 32, 48]]
         assert np.max(np.abs(quarters - np.array([1, 1j, -1, -1j]))) < 1e-14
 
     def test_constant_grid(self):
         grid = s.boundary_samples(s.Constant(0.3), 64)
-        assert np.all(grid.values == 0.3)
+        assert np.all(grid == 0.3)
 
     def test_blaschke_samples_unimodular(self):
         grid = s.boundary_samples(s.Blaschke(1.0, (0, 0)), 64)
-        assert np.max(np.abs(np.abs(grid.values) - 1.0)) < 1e-12
+        assert np.max(np.abs(np.abs(grid) - 1.0)) < 1e-12
 
     def test_grid_size_validation(self):
         with pytest.raises(s.SymbolError):
@@ -66,6 +66,11 @@ class TestBoundarySamples:
     def test_rejects_non_self_map(self):
         with pytest.raises(s.NotSelfMapError):
             s.boundary_samples(s.Polynomial((0, 2)), 64)
+
+    def test_grid_is_a_read_only_array(self):
+        for n in (64, 2 ** 19):
+            grid = s.boundary_samples(s.Identity(), n)
+            assert grid.shape == (n,) and not grid.flags.writeable
 
 
 class TestTaylor:
@@ -96,6 +101,15 @@ class TestTaylor:
     def test_insufficient_grid_rejected(self):
         with pytest.raises(s.SymbolError):
             s.taylor(s.Moebius(0.5), 40, n=128)
+        with pytest.raises(s.SymbolError):
+            s.taylor(s.Moebius(0.5), 3, n=96)
+
+    def test_unsettled_refinement_raises(self):
+        # the pole at 1/0.99999 leaves boundary harmonics near 1e-6 even at 2^20
+        phi = s.Compose(s.Moebius(0.99999), s.Scale(0.99999, s.Identity()))
+        with pytest.raises(s.QuadratureError) as info:
+            s.taylor(phi, 10)
+        assert info.value.n == 2 ** 20
 
     def test_parseval_consistency(self):
         for phi in (s.Polynomial((0.1, 0.3, 0.2j, 0.25)), s.Moebius(0.6),
@@ -103,7 +117,7 @@ class TestTaylor:
             coeffs = s.taylor(phi, 255)
             grid = s.boundary_samples(phi, 2048)
             lhs = float(np.sum(np.abs(coeffs) ** 2))
-            rhs = float(np.mean(np.abs(grid.values) ** 2))
+            rhs = float(np.mean(np.abs(grid) ** 2))
             assert abs(lhs - rhs) < 1e-10
 
 
@@ -153,7 +167,7 @@ class TestRefine:
 class TestCompose:
     def test_identity_neutral(self):
         psi = s.Polynomial((0, 0.4, 0.4))
-        phi = s.compose(s.Identity(), psi)
+        phi = s.Compose(s.Identity(), psi)
         z = random_interior(100)
         assert np.max(np.abs(phi.eval(z) - psi.eval(z))) == 0.0
 
