@@ -36,7 +36,6 @@ from .hardy import BASE_N, MAX_GRID, QuadratureError, garsia_gamma
 from .sweep import ConfigError, SweepConfig
 
 EXIT_OK = 0
-EXIT_MISMATCH = 2
 EXIT_INCONSISTENT = 3
 EXIT_CONFIG = 4
 
@@ -139,11 +138,9 @@ def _cmd_gallery(args) -> int:
               f"got={r['classification']:<22} s2={str(r['s2']):<13} {flag}")
     if run.inconsistencies:
         print(f"inconsistent equivalence family for: {run.inconsistencies}")
-        return EXIT_INCONSISTENT
-    if run.mismatches:
+    elif run.mismatches:
         print(f"verdict mismatches: {run.mismatches}")
-        return EXIT_MISMATCH
-    return EXIT_OK
+    return run.exit_code
 
 
 def _parse_fraction(text: str) -> Fraction:

@@ -493,21 +493,6 @@ class CriterionSweep:
 
     # -- shared evaluators --------------------------------------------------------
 
-    @staticmethod
-    def _memo_max(compute):
-        """idx -> the largest ``compute(i)`` over the grid indices idx, each
-        point computed once however many levels share it."""
-        cache: dict[int, float] = {}
-
-        def best(idx) -> float:
-            keys = [int(i) for i in idx]
-            for i in keys:
-                if i not in cache:
-                    cache[i] = compute(i)
-            return max([-1.0] + [cache[i] for i in keys])
-
-        return best
-
     def _l_ladder(self, kind: str, witnesses) -> CriterionProfile:
         """The largest swept composite norm over each level's witnesses,
         anchored at its argmax by the dual-route ``l_statistic``, with that
@@ -551,9 +536,9 @@ class CriterionSweep:
 
     def _arc_envelope(self, kind: str, average, per_arc: int) -> CriterionProfile:
         """Largest rho^2 arc average over the level sets |phi_I| >= s_k."""
-        best = self._memo_max(lambda i: average(i, "rho2").value)
         return self._ladder(kind, self._level_sets(np.abs(self.arc_means())),
-                            lambda idx: (best(idx), per_arc, 0))
+                            lambda idx: (max(average(int(i), "rho2").value for i in idx),
+                                         per_arc, 0))
 
     def _arc_ladder(self, kind: str, average, per_arc: int, metric) -> CriterionProfile:
         """Largest arc average on each ring |a| = 1 - 2^-k, with its cap hits."""
@@ -610,10 +595,10 @@ class CriterionSweep:
         return self._arc_ladder("A-hyp-double", self._arc_double,
                                 self.settings.arc_samples ** 2, metric)
 
-    def profile_a_hyp_center(self, metric=None) -> CriterionProfile:
+    def profile_a_hyp_center(self) -> CriterionProfile:
         """Centered arc average on the radius ladder |a| = 1 - 2^-k."""
         return self._arc_ladder("A-hyp-center", self._arc_center,
-                                self.settings.arc_samples, metric)
+                                self.settings.arc_samples, None)
 
     def profile_w1(self) -> CriterionProfile:
         """The power statistic |phi^n|_* along the geometric power ladder."""
@@ -633,15 +618,15 @@ class CriterionSweep:
         lv = self.l_values()
         s = self.settings
 
-        def w2_at(i):
+        @functools.cache    # nested level sets share their argmax points
+        def w2_at(i: int) -> float:
             a_star = complex(self.grid[i])
             b = complex(self.phi.eval(a_star))
             return w2_statistic(self.phi, b, s, extra_points=(a_star,))
 
-        best = self._memo_max(w2_at)
         return self._ladder(
             "W2", self._level_sets(np.abs(self.phi_at_grid)),
-            lambda idx: (best([idx[int(np.argmax(lv[idx]))]]), s.depth * s.w2_angles + 2, 0),
+            lambda idx: (w2_at(int(idx[np.argmax(lv[idx])])), s.depth * s.w2_angles + 2, 0),
             lower_bound=True)
 
     def profile_s2(self) -> list[CriterionProfile]:
@@ -682,8 +667,7 @@ class CriterionSweep:
     # -- dispatch -----------------------------------------------------------------
 
     #: profile kind -> (method, the cached sweep state it reads or None);
-    #: kinds that read one state are cheapest on one sweep object.  The
-    #: A-hyp kinds also take a metric.
+    #: kinds that read one state are cheapest on one sweep object
     PROFILES = {"L": (profile_l, "l_values"),
                 "VMOA-iii": (profile_vmoa_iii, "l_values"),
                 "S1": (profile_s1, None),
@@ -695,12 +679,11 @@ class CriterionSweep:
                 "W2": (profile_w2, "l_values"),
                 "S2": (profile_s2, None)}
 
-    def profile(self, kind: str, metric=None):
+    def profile(self, kind: str):
         """The profile of one kind (a list of profiles for S2)."""
         if kind not in self.PROFILES:
             raise ValueError(f"unknown criterion kind {kind!r}")
-        method, _ = self.PROFILES[kind]
-        return method(self) if metric is None else method(self, metric)
+        return self.PROFILES[kind][0](self)
 
 
 PROFILE_KINDS = tuple(CriterionSweep.PROFILES)
@@ -716,18 +699,18 @@ def _metric_name(metric) -> str:
 # verdicts
 # ---------------------------------------------------------------------------
 
-def classify_profile(profile: CriterionProfile, epsilon: float, delta: float,
-                     tail: int = 4) -> str:
+def classify_profile(profile: CriterionProfile, epsilon: float, delta: float) -> str:
     """vanishing / failing / inconclusive from the final levels.
 
-    Vanishing needs the final value below epsilon and a nonincreasing tail;
-    failing needs the final value at or above delta.  Values between delta
-    and epsilon with a decaying tail count as vanishing (the trend wins).
+    Vanishing needs the final value below epsilon and a nonincreasing tail
+    over the last four levels; failing needs the final value at or above
+    delta.  Values between delta and epsilon with a decaying tail count as
+    vanishing (the trend wins).
     """
     vals = profile.values()
     if not vals:
         return "inconclusive"
-    tail_vals = vals[-min(tail, len(vals)):]
+    tail_vals = vals[-4:]
     monotone = all(x >= y - 1e-9 for x, y in zip(tail_vals, tail_vals[1:]))
     final = vals[-1]
     if final < epsilon and monotone:

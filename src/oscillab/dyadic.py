@@ -31,7 +31,9 @@ from .geometry import Arc
 #: inputs are snapped to multiples of 2**-SNAP_LEVEL before decomposing
 SNAP_LEVEL = 20
 
-#: hard cap on dyadic descent depth
+#: hard cap on dyadic descent depth.  A safety net: on a set snapped to
+#: 2**-SNAP_LEVEL every level-SNAP_LEVEL arc has relative measure 0 or 1, so
+#: both traversals stop by level SNAP_LEVEL < MAX_DEPTH
 MAX_DEPTH = 40
 
 ZERO = Fraction(0)
@@ -202,9 +204,9 @@ class ArcSet:
         t = Fraction(t) % 1
         return any(lo <= t < hi for lo, hi in self.intervals)
 
-    def snapped(self, level: int = SNAP_LEVEL) -> tuple["ArcSet", bool]:
-        """Round endpoints to the nearest multiple of 2**-level."""
-        scale = 2 ** level
+    def snapped(self) -> tuple["ArcSet", bool]:
+        """Round endpoints to the nearest multiple of 2**-SNAP_LEVEL."""
+        scale = 2 ** SNAP_LEVEL
         pairs = []
         changed = False
         for lo, hi in self.intervals:
@@ -216,8 +218,7 @@ class ArcSet:
                 pairs.append((slo, shi))
             else:
                 changed = True
-        snapped = ArcSet.from_pairs(pairs)
-        return snapped, changed
+        return ArcSet.from_pairs(pairs), changed
 
     def interior_sample_angles(self, limit: int = 16) -> tuple[Fraction, ...]:
         """Deterministic interior points (midpoints, then quartiles)."""
@@ -309,16 +310,15 @@ class DensityCoreResult:
     snapped: bool
 
 
-def density_core(E: ArcSet, snap: bool = True) -> DensityCoreResult:
-    """Remove the maximal dyadic arcs I with |I ∩ E^c| > lam |I|, lam = 1 - |E|/2.
+def density_core(E: ArcSet) -> DensityCoreResult:
+    """Remove the maximal dyadic arcs I with |I ∩ E^c| > lam |I|, lam = 1 - |E|/2,
+    from E snapped to 2**-SNAP_LEVEL.
 
     The remaining core E' has positive exact measure, and every point of it
     sees density at least |E|/8 of E in every centered arc (see
     ``verify_density_bound``).
     """
-    changed = False
-    if snap:
-        E, changed = E.snapped()
+    E, changed = E.snapped()
     if E.measure == 0:
         snap_note = f" after the snap to multiples of 2^-{SNAP_LEVEL}" if changed else ""
         raise ValueError(f"density_core needs a set of positive measure, got |E| = 0{snap_note}")
@@ -376,8 +376,9 @@ class WikResult:
     snapped: bool
 
 
-def wik_decomposition(E: ArcSet, lam, snap: bool = True) -> WikResult:
-    """Maximal dyadic arcs Q with |Q ∩ E| >= (lam/2)|Q|.
+def wik_decomposition(E: ArcSet, lam) -> WikResult:
+    """Maximal dyadic arcs Q with |Q ∩ E| >= (lam/2)|Q|, for E snapped to
+    2**-SNAP_LEVEL.
 
     Requires |E| <= lam.  Every selected arc then satisfies the exact
     sandwich (lam/2)|Q| <= |Q ∩ E| <= lam|Q| (the upper bound is inherited
@@ -387,9 +388,7 @@ def wik_decomposition(E: ArcSet, lam, snap: bool = True) -> WikResult:
     lam = Fraction(lam)
     if not (0 < lam < 1):
         raise ValueError(f"lambda must lie in (0, 1), got {lam}")
-    changed = False
-    if snap:
-        E, changed = E.snapped()
+    E, changed = E.snapped()
     if E.measure > lam:
         raise ValueError(f"need |E| <= lambda, got |E| = {E.measure} > {lam}")
     half = lam / 2

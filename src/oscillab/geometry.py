@@ -165,10 +165,6 @@ class Arc:
         lo = self.center - self.length / 2
         return lo, lo + self.length
 
-    def contains_angle(self, t) -> bool:
-        lo, _ = self.span()
-        return Fraction(t - lo) % 1 < self.length
-
     def sample_points(self, m: int) -> np.ndarray:
         """``m`` midpoint-rule boundary samples inside the arc."""
         return _midpoint_samples(float(self.center), float(self.length), m)
@@ -255,7 +251,7 @@ def golden_max(f, lo: float, hi: float, tol: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def min_tau_over_rho_sq(tol: float = 1e-12) -> float:
+def min_tau_over_rho_sq() -> float:
     """The best constant c with tau >= c * rho^2 on [0, 1).
 
     tau/rho^2 diverges at both ends of (0, 1), so the minimum is interior;
@@ -264,4 +260,4 @@ def min_tau_over_rho_sq(tol: float = 1e-12) -> float:
     def f(r: float) -> float:
         return math.atanh(r) / (r * r)
 
-    return f(golden_max(lambda r: -f(r), 1e-6, 1.0 - 1e-12, tol))
+    return f(golden_max(lambda r: -f(r), 1e-6, 1.0 - 1e-12, 1e-12))

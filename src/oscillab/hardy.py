@@ -304,8 +304,8 @@ def bmoa_seminorm(f, depth: int = 12, angles: int = 64, base_n: int = BASE_N,
     return SeminormEstimate(best, desc, True, argmax)
 
 
-def vmoa_profile(f, radii: Sequence[float], angular_count: int = 64,
-                 base_n: int = BASE_N) -> list[tuple[float, float]]:
+def vmoa_profile(f, radii: Sequence[float],
+                 angular_count: int = 64) -> list[tuple[float, float]]:
     """Per-radius angular maxima of gamma(f, a); decay to 0 signals VMOA.
 
     All rings are swept at once by ``ring_gamma_sweep``; each ring's maximum
@@ -314,7 +314,7 @@ def vmoa_profile(f, radii: Sequence[float], angular_count: int = 64,
     for r in radii:
         if not (0.0 < r < 1.0):
             raise ValueError(f"profile radii must lie in (0, 1), got {r}")
-    values = ring_gamma_sweep(f, radii, angular_count, base_n)
+    values = ring_gamma_sweep(f, radii, angular_count)
     rings = ring_grid(radii, angular_count)
-    return [(float(r), _anchored_max(lambda a: garsia_gamma(f, a, base_n), vals, ring)[0])
+    return [(float(r), _anchored_max(lambda a: garsia_gamma(f, a), vals, ring)[0])
             for r, vals, ring in zip(radii, values, rings)]

@@ -37,6 +37,11 @@ from .symbols import Moebius
 
 TWO_PI = 2.0 * math.pi
 
+#: the gap grid of ``combination_seminorm`` and the slack of its upper window
+SEMINORM_DEPTH = 12
+SEMINORM_ANGLES = 64
+SEMINORM_TOL = 1e-6
+
 
 class SelectionError(RuntimeError):
     """The base-point list cannot support the requested selection depth."""
@@ -85,10 +90,6 @@ class GapPoint:
     def value(self) -> complex:
         """Float complex value; lossy for gaps below machine epsilon."""
         return (1.0 - self.gap) * cmath.exp(2j * math.pi * self.turns)
-
-    @property
-    def modulus(self) -> float:
-        return 1.0 - self.gap
 
 
 def _as_gap(p) -> GapPoint:
@@ -215,7 +216,7 @@ def gamma_combination(bases: tuple, lam: tuple, a: GapPoint,
 
 
 # ---------------------------------------------------------------------------
-# test sequences and region suprema
+# test sequences and circle suprema
 # ---------------------------------------------------------------------------
 
 def test_function(b) -> hardy.LinearCombination:
@@ -255,22 +256,6 @@ def circle_sup_gamma(b, radius_gap: float) -> float:
     """
     b = _as_gap(b)
     return gamma_gap(b, GapPoint(radius_gap, b.turns))
-
-
-def region_sup_inside(b, radius_gap: float) -> float:
-    """sup over |a| <= 1 - radius_gap; equals 1 when b itself is inside."""
-    b = _as_gap(b)
-    if b.gap >= radius_gap:
-        return 1.0
-    return circle_sup_gamma(b, radius_gap)
-
-
-def region_sup_outside(b, radius_gap: float) -> float:
-    """sup over 1 - radius_gap <= |a| < 1; equals 1 when b is outside."""
-    b = _as_gap(b)
-    if b.gap <= radius_gap:
-        return 1.0
-    return circle_sup_gamma(b, radius_gap)
 
 
 # ---------------------------------------------------------------------------
@@ -337,48 +322,41 @@ def _radius_gap_for_outside_bound(b: GapPoint, bound: float) -> float:
     return 2.0 ** lo_exp
 
 
-def select_subsequence(seq: TestSequence, depth: int,
-                       first_radius_gap: float = 0.5) -> SelectionCertificate:
-    """Greedy inductive selection realizing all 2^-(k+1) bounds up to ``depth``.
+def select_subsequence(seq: TestSequence, depth: int) -> SelectionCertificate:
+    """Greedy inductive selection realizing all 2^-(k+1) bounds up to ``depth``,
+    from the first radius r_1 = 1/2.
 
     Region suprema come from the analytic closed form (the aligned value
     on circles), never from grid sampling, so the certificate is
-    airtight down to gap scales far below double resolution.
+    airtight down to gap scales far below double resolution.  A base point
+    outside |a| < r_k has inner supremum 1 and is skipped.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    if depth == 0:
-        return SelectionCertificate((), (), (first_radius_gap,), (), (), ())
-    chosen, radius_gaps = [], [first_radius_gap]
+    chosen, radius_gaps = [], [0.5]
     h2_norms, inside_sups, outside_sups = [], [], []
-    cursor = 0
+    candidates = enumerate(seq.base_points)
     for k in range(1, depth + 1):
         bound = 2.0 ** -(k + 1)
         gap_k = radius_gaps[-1]
-        found = None
-        while cursor < len(seq.base_points):
-            b = seq.base_points[cursor]
-            cursor += 1
+        for idx, b in candidates:
             h2 = math.sqrt(b.gap * (2.0 - b.gap))
-            if h2 >= bound:
+            if h2 >= bound or b.gap >= gap_k:
                 continue
-            inside = region_sup_inside(b, gap_k)
-            if inside >= bound:
-                continue
-            found = (cursor - 1, b, h2, inside)
-            break
-        if found is None:
+            inside = circle_sup_gamma(b, gap_k)
+            if inside < bound:
+                break
+        else:
             raise SelectionError(
                 f"base-point list exhausted at step {k}: no point satisfies the"
                 f" H^2 and inner-region bounds {bound}")
-        idx, b, h2, inside = found
+        # gap_next < b.gap, so b lies inside |a| < 1 - gap_next
         gap_next = _radius_gap_for_outside_bound(b, bound)
-        outside = region_sup_outside(b, gap_next)
         chosen.append((idx, b))
         radius_gaps.append(min(gap_next, gap_k / 2.0))
         h2_norms.append(h2)
         inside_sups.append(inside)
-        outside_sups.append(outside)
+        outside_sups.append(circle_sup_gamma(b, gap_next))
     return SelectionCertificate(
         tuple(b for _, b in chosen),
         tuple(idx for idx, _ in chosen),
@@ -399,15 +377,15 @@ def standard_gap_grid(depth: int = 12, angles: int = 64) -> tuple:
                  for k in range(1, depth + 1) for j in range(angles))
 
 
-def combination_seminorm(cert: SelectionCertificate, lam, depth: int = 12,
-                         angles: int = 64,
-                         tolerance: float = 1e-6) -> hardy.SeminormEstimate:
-    """Seminorm estimate of sum(lambda_k f_{n_k}) over the augmented grid.
+def combination_seminorm(cert: SelectionCertificate, lam) -> hardy.SeminormEstimate:
+    """Seminorm estimate of sum(lambda_k f_{n_k}) over the augmented grid:
+    ``standard_gap_grid(SEMINORM_DEPTH, SEMINORM_ANGLES)`` plus every base
+    point b_{n_k}.
 
-    The grid always contains every base point b_{n_k}, which makes the
-    lower bound ||lambda||_inf / 4 a certainty rather than a sampling
-    accident; the estimate must land in [max/4, 2 max + tolerance] or a
-    CombinationBoundError carrying the witnessing point is raised.
+    The base points make the lower bound ||lambda||_inf / 4 a certainty
+    rather than a sampling accident; the estimate must land in
+    [max/4, 2 max + SEMINORM_TOL] or a CombinationBoundError carrying the
+    witnessing point is raised.
     """
     lam = tuple(complex(c) for c in lam)
     if len(lam) > cert.depth:
@@ -416,7 +394,7 @@ def combination_seminorm(cert: SelectionCertificate, lam, depth: int = 12,
     if sup == 0.0:
         raise ValueError("combination needs a nonzero coefficient sequence")
     bases = cert.base_points[: len(lam)]
-    grid = standard_gap_grid(depth, angles) + tuple(cert.base_points)
+    grid = standard_gap_grid(SEMINORM_DEPTH, SEMINORM_ANGLES) + tuple(cert.base_points)
     terms = _base_terms(bases)
     best, arg = -1.0, grid[0]
     for a in grid:
@@ -424,10 +402,10 @@ def combination_seminorm(cert: SelectionCertificate, lam, depth: int = 12,
         if val > best:
             best, arg = val, a
     est = hardy.SeminormEstimate(
-        best, f"standard gap grid depth={depth} angles={angles} + base points",
-        True, arg.value)
-    if not (0.25 * sup <= est.value <= 2.0 * sup + tolerance):
+        best, f"standard gap grid depth={SEMINORM_DEPTH} angles={SEMINORM_ANGLES}"
+        " + base points", True, arg.value)
+    if not (0.25 * sup <= est.value <= 2.0 * sup + SEMINORM_TOL):
         raise CombinationBoundError(
-            f"seminorm {est.value} escapes [{0.25 * sup}, {2.0 * sup + tolerance}]",
+            f"seminorm {est.value} escapes [{0.25 * sup}, {2.0 * sup + SEMINORM_TOL}]",
             witness=est.argmax)
     return est

@@ -76,9 +76,6 @@ class Symbol:
     def _ev(self, z: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def __call__(self, z):
-        return self.eval(z)
-
 
 @dataclass(frozen=True)
 class Constant(Symbol):
@@ -121,7 +118,8 @@ class Moebius(Symbol):
 
     def __post_init__(self):
         a = complex(self.a)
-        if abs(a) >= 1.0:
+        # negated comparisons, so that a NaN base point is rejected too
+        if not abs(a) < 1.0:
             raise SymbolError(f"Moebius base point must be interior, |a| = {abs(a)}")
         object.__setattr__(self, "a", a)
 
@@ -131,19 +129,20 @@ class Moebius(Symbol):
 
 @dataclass(frozen=True)
 class Blaschke(Symbol):
-    """factor * prod_k (z_k - z)/(1 - conj(z_k) z) with |factor| = 1."""
+    """factor * prod_k (z_k - z)/(1 - conj(z_k) z) with |factor| = 1 within
+    1e-12; the factor is kept as given, so JSON round trips are exact."""
 
     factor: complex
     zeros: tuple
 
     def __post_init__(self):
         u = complex(self.factor)
-        if abs(abs(u) - 1.0) > 1e-12:
+        # negated comparisons, so that a NaN factor or zero is rejected too
+        if not abs(abs(u) - 1.0) <= 1e-12:
             raise SymbolError(f"Blaschke factor must be unimodular, |u| = {abs(u)}")
-        u /= abs(u)
         zeros = tuple(complex(w) for w in self.zeros)
         for w in zeros:
-            if abs(w) >= 1.0:
+            if not abs(w) < 1.0:
                 raise SymbolError(f"Blaschke zero must be interior, |w| = {abs(w)}")
         object.__setattr__(self, "factor", u)
         object.__setattr__(self, "zeros", zeros)
@@ -351,16 +350,16 @@ class SelfMapCertificate:
     kind: str               # "strict" or "boundary-touching"
     sup: float              # boundary sup-norm estimate
     contact: complex | None  # argmax boundary point when touching
-    grid_n: int
 
     @property
     def strict(self) -> bool:
         return self.kind == "strict"
 
 
-def validate_self_map(phi: Symbol, n: int = VALIDATION_GRID) -> SelfMapCertificate:
-    """Classify a symbol as a self-map or reject it with a witness."""
-    zeta = roots_of_unity(n)
+def validate_self_map(phi: Symbol) -> SelfMapCertificate:
+    """Classify a symbol as a self-map or reject it with a witness, from its
+    values on VALIDATION_GRID boundary points."""
+    zeta = roots_of_unity(VALIDATION_GRID)
     values = phi.eval(zeta)
     mods = np.abs(values)
     idx = int(np.argmax(mods))
@@ -375,8 +374,8 @@ def validate_self_map(phi: Symbol, n: int = VALIDATION_GRID) -> SelfMapCertifica
             f"|phi(0)| = {center} is not interior; the map does not send the disc into itself",
             witness=0j, sup=sup)
     if sup >= 1.0 - TOUCH_MARGIN:
-        return SelfMapCertificate("boundary-touching", sup, complex(zeta[idx]), n)
-    return SelfMapCertificate("strict", sup, None, n)
+        return SelfMapCertificate("boundary-touching", sup, complex(zeta[idx]))
+    return SelfMapCertificate("strict", sup, None)
 
 
 @functools.lru_cache(maxsize=512)

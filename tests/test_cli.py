@@ -2,7 +2,9 @@ import contextlib
 import glob
 import io
 import json
+import math
 import os
+import re
 import tempfile
 from dataclasses import fields
 
@@ -507,6 +509,15 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_nan_moebius_sweep_exits_4_naming_the_base_point(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"symbol": {"kind": "moebius", "a": [math.nan, 0]},
+                                    "out_dir": str(tmp_path / "out")}))
+        assert cli.main(["sweep", "--config", str(path)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "base point must be interior" in err
+
     def test_identities_command(self, capsys):
         assert cli.main(["identities", "--points", "2", "--seed", "3"]) == 0
         out = capsys.readouterr().out
@@ -547,3 +558,30 @@ class TestExitCodes:
         row = GalleryRow("x", "compact", bad)
         run = GalleryRun((row,), {"x": {}})
         assert run.exit_code == 3
+
+
+class TestReadme:
+    """The README's config table and symbol-field list name exactly the
+    fields the code declares."""
+
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"),
+              encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+
+    def test_config_table_keys_are_the_config_fields(self):
+        start = next(i for i, line in enumerate(self.lines) if line.startswith("| key"))
+        keys = []
+        for line in self.lines[start + 2:]:
+            if not line.startswith("|"):
+                break
+            keys.append(re.match(r"\| `(\w+)`", line).group(1))
+        assert sorted(keys) == sorted(f.name for f in fields(sw.SweepConfig))
+
+    def test_symbol_examples_parse_and_name_every_field(self):
+        examples = [json.loads(m.group(1)) for line in self.lines
+                    if (m := re.match(r"- `(\{.*\})`:", line))]
+        for data in examples:
+            # the codec writes back exactly the fields the example names
+            assert sym.symbol_to_json(sym.symbol_from_json(data)) == data
+        assert ({type(sym.symbol_from_json(data)) for data in examples}
+                == set(sym.Symbol.__subclasses__()))

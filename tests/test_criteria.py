@@ -1,9 +1,11 @@
+import cmath
 import math
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oscillab import criteria as cr
 from oscillab import gallery
@@ -261,6 +263,50 @@ class TestScalarStatistics:
     def test_s2_threshold_guard(self):
         with pytest.raises(ValueError):
             cr.s2_statistic(s.Identity(), 0.0, 1.0)
+
+
+_angles = st.floats(0.0, 2.0 * math.pi)
+_points = st.builds(lambda r, t: r * cmath.exp(1j * t), st.floats(0.0, 0.9), _angles)
+
+
+@st.composite
+def _polynomials(draw):
+    """Polynomials with sum |c_k| <= 1: self-maps, some touching the circle."""
+    weights = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+    phases = draw(st.lists(_angles, min_size=len(weights), max_size=len(weights)))
+    total = draw(st.floats(0.0, 1.0)) / max(sum(weights), 1e-12)
+    return s.Polynomial(tuple(w * total * cmath.exp(1j * t) for w, t in zip(weights, phases)))
+
+
+def _grow(inner):
+    return st.one_of(inner, st.builds(s.Scale, st.floats(0.0, 1.0, exclude_min=True), inner),
+                     st.builds(s.Compose, inner, inner))
+
+
+#: valid self-maps: unimodular Blaschke factors, points |a| <= 0.9, and
+#: scale and compose nodes to depth 2
+self_maps = _grow(_grow(st.one_of(
+    st.just(s.Identity()), st.builds(s.Constant, _points), _polynomials(),
+    st.builds(s.Moebius, _points),
+    st.builds(lambda t, zeros: s.Blaschke(cmath.exp(1j * t), tuple(zeros)),
+              _angles, st.lists(_points, min_size=1, max_size=2)))))
+
+
+class TestSelfMapBounds:
+    """L <= 1 and S1 <= 1/(2e) for every self-map: the normalized composite
+    fixes the origin and maps the disc into itself."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(self_maps, _angles)
+    def test_l_and_s1_bounds(self, phi, angle):
+        points = [r * cmath.exp(1j * angle) for r in (0.5, 0.9, 1.0 - 2.0 ** -8)]
+        for a in points:
+            assert cr.l_statistic(phi, a) <= 1.0 + hardy.GAMMA_TOL
+        try:
+            values = [v.value for v in nev.s1_statistics(phi, points)]
+        except nev.RationalFormError:
+            return
+        assert max(values) <= 1.0 / (2.0 * math.e) + 1e-12
 
 
 class TestProfiles:

@@ -36,7 +36,7 @@ class TestClosedForm:
     def test_gap_point_round_trip(self):
         p = lb.GapPoint.from_complex(0.3 - 0.4j)
         assert p.value == pytest.approx(0.3 - 0.4j, abs=1e-15)
-        assert lb.GapPoint(2.0 ** -60).modulus == 1.0  # below double resolution
+        assert abs(lb.GapPoint(2.0 ** -60).value) == 1.0  # below double resolution
 
     def test_pair_integral_diagonal_is_one(self):
         b = lb.GapPoint.from_complex(0.7 + 0.1j)

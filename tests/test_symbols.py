@@ -274,6 +274,18 @@ class TestJsonCodec:
         with pytest.raises(s.SymbolError, match="nests deeper"):
             s.symbol_from_json(nested(s.MAX_SYMBOL_DEPTH + 1))
 
+    def test_blaschke_round_trip_is_exact(self):
+        # unimodular factors v/|v|, and factors off the circle by 1e-13, are
+        # kept as given, so parsing a description returns the same symbol
+        rng = np.random.default_rng(29)
+        v = rng.normal(size=20000) + 1j * rng.normal(size=20000)
+        unit = v / np.abs(v)
+        off = unit * (1.0 + rng.choice([-1e-13, 1e-13], size=20000))
+        for u in np.concatenate([unit, off]):
+            phi = s.Blaschke(complex(u), (0.5j,))
+            assert phi.factor == u
+            assert s.symbol_from_json(s.symbol_to_json(phi)) == phi
+
 
 class TestInvariantGuards:
     def test_blaschke_factor_must_be_unimodular(self):
@@ -291,3 +303,12 @@ class TestInvariantGuards:
     def test_moebius_base_interior(self):
         with pytest.raises(s.SymbolError):
             s.Moebius(1.0)
+
+    @pytest.mark.parametrize("data", [
+        {"kind": "moebius", "a": [math.nan, 0]},
+        {"kind": "blaschke", "factor": [math.nan, 0], "zeros": [[0.5, 0]]},
+        {"kind": "blaschke", "factor": [1, 0], "zeros": [[0.5, math.nan]]}],
+        ids=["moebius-a", "blaschke-factor", "blaschke-zero"])
+    def test_nan_parameters_rejected(self, data):
+        with pytest.raises(s.SymbolError):
+            s.symbol_from_json(data)
